@@ -22,7 +22,7 @@ from wavemod.codec import (
 from wavemod.detector import detect_block
 from wavemod.errors import ConfigurationError
 from wavemod.filterbank import SampleBlock, analyze_pyramid, synthesize_pyramid
-from wavemod.filters import make_daubechies
+from wavemod.filters import check_taps, make_daubechies
 
 PAM = "pam"
 
@@ -139,6 +139,8 @@ class ExperimentConfig:
             raise ConfigurationError("message_len must be >= 1")
         if self.num_scales < 1:
             raise ConfigurationError("num_scales must be >= 1")
+        if self.method != PAM:
+            check_taps(self.wavelet_taps)
         if self.method == METHOD1:
             factor = 2 ** (self.num_scales - 1)
             if self.message_len % factor != 0:

@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -60,13 +61,18 @@ def parse_snr_grid(text: str) -> tuple:
     try:
         if ":" in text:
             lo, hi, step = (float(p) for p in text.split(":"))
-            if step <= 0 or hi < lo:
+            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
                 raise ValueError
             n = int(round((hi - lo) / step)) + 1
             return tuple(lo + i * step for i in range(n) if lo + i * step <= hi + 1e-9)
-        return tuple(float(p) for p in text.split(","))
+        grid = tuple(float(p) for p in text.split(","))
+        if not all(map(math.isfinite, grid)):
+            raise ValueError
+        return grid
     except ValueError:
-        raise ConfigurationError(f"cannot parse SNR grid {text!r}; expected a:b:step")
+        raise ConfigurationError(
+            f"cannot parse SNR grid {text!r}; expected a:b:step or a list of finite values"
+        )
 
 
 def read_config_file(path: Path) -> dict:
@@ -151,6 +157,8 @@ def cmd_modulate(args) -> int:
 
 def cmd_demodulate(args) -> int:
     samples = np.array(_read_lines(Path(args.input), "sample", float))
+    if not np.isfinite(samples).all():
+        raise ConfigurationError(f"input file {args.input} has non-finite samples")
     fp = make_daubechies(args.taps)
     if len(samples) % 2**args.scales != 0:
         raise ConfigurationError(
@@ -200,6 +208,8 @@ def _int_setting(settings, key) -> int:
 def cmd_ber_sweep(args) -> int:
     settings = _gather_settings(args)
     methods = [m.strip() for m in str(settings["methods"]).split(",") if m.strip()]
+    if not methods:
+        raise ConfigurationError("config key 'methods': no method given")
     for m in methods:
         if m not in ber.METHODS:
             raise ConfigurationError(f"config key 'methods': unknown method {m!r}")
@@ -210,6 +220,22 @@ def cmd_ber_sweep(args) -> int:
         energy = float(settings["energy"])
     except ValueError:
         raise ConfigurationError(f"config key 'energy': {settings['energy']!r} is not a number")
+    # Every config is validated before the output is opened, so a bad one
+    # leaves no file behind.
+    configs = [
+        ExperimentConfig(
+            method=method,
+            num_scales=scales,
+            message_len=_int_setting(settings, "message_len"),
+            symbol_energy=energy,
+            snr_grid_db=grid,
+            min_errors=_int_setting(settings, "min_errors"),
+            max_trials=_int_setting(settings, "max_trials"),
+            seed=seed,
+            wavelet_taps=_int_setting(settings, "taps"),
+        )
+        for method in methods
+    ]
 
     out_path = Path(args.out if args.out else settings.get("out", "ber.csv"))
     try:
@@ -221,18 +247,8 @@ def cmd_ber_sweep(args) -> int:
     with handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for method in methods:
-            cfg = ExperimentConfig(
-                method=method,
-                num_scales=scales,
-                message_len=_int_setting(settings, "message_len"),
-                symbol_energy=energy,
-                snr_grid_db=grid,
-                min_errors=_int_setting(settings, "min_errors"),
-                max_trials=_int_setting(settings, "max_trials"),
-                seed=seed,
-                wavelet_taps=_int_setting(settings, "taps"),
-            )
+        for cfg in configs:
+            method = cfg.method
             points = run_monte_carlo(cfg)
             shift = 10.0 * float(np.log10(energy_per_symbol_factor(method, scales)))
             for p in points:

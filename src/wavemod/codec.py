@@ -10,7 +10,8 @@ scale, giving each symbol exactly K = 2**M - 1 copies.
 Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -95,17 +96,24 @@ def _check_frame(frame: SubbandFrame, spec: PlacementSpec):
         )
 
 
-def coefficient_symbol_map(spec: PlacementSpec) -> list[np.ndarray]:
-    """Per scale, the message-symbol index that owns each detail coefficient."""
+@lru_cache(maxsize=16)
+def coefficient_symbol_map(spec: PlacementSpec) -> tuple[np.ndarray, ...]:
+    """Per scale, the message-symbol index that owns each detail coefficient.
+
+    Cached per spec, since every block of a run uses the same map; the
+    arrays are read-only because every caller shares them.
+    """
     out = []
     for m in range(spec.num_scales):
         length = spec.base_length * 2**m
         n = np.arange(length)
         if spec.method == METHOD1:
-            out.append(n * 2 ** (spec.num_scales - 1 - m))
+            owners = n * 2 ** (spec.num_scales - 1 - m)
         else:
-            out.append(n % spec.base_length)
-    return out
+            owners = n % spec.base_length
+        owners.flags.writeable = False
+        out.append(owners)
+    return tuple(out)
 
 
 def gather_observations(frame: SubbandFrame, spec: PlacementSpec):

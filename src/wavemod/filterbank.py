@@ -4,11 +4,13 @@ Circular (periodic) convolution keeps every length an exact power-of-two
 multiple and makes the round trip exact for orthonormal filters. Scale
 indices are relative: the coarsest detail level is 0, the finest is M-1.
 
-The hot single-level kernels live in a compiled extension with a
-pure-numpy fallback; set WAVEMOD_NO_EXT=1 to force the fallback.
+The single-level kernels are polyphase: every filter tap reads one plain
+slice of a cyclically padded copy of the input, so each tap is a few
+whole-array numpy operations. Every output sums its taps into a
+zero-initialised accumulator in ascending tap order, which fixes the
+floating-point result bit for bit, sign of zero included.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,19 +18,9 @@ import numpy as np
 from wavemod.errors import ShapeError
 from wavemod.filters import FilterPair
 
-if os.environ.get("WAVEMOD_NO_EXT"):
-    from wavemod import _fbkernels_py as _kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from wavemod import _fbkernels as _kernels
-
-        BACKEND = "cython"
-    except ImportError:
-        from wavemod import _fbkernels_py as _kernels
-
-        BACKEND = "python"
+# Name of the kernel implementation; benchmark records carry it so that
+# timings from different kernels are never compared.
+BACKEND = "python"
 
 
 @dataclass(frozen=True)
@@ -71,6 +63,21 @@ def _as_float_array(seq) -> np.ndarray:
     return np.ascontiguousarray(seq, dtype=np.float64)
 
 
+def _wrap_after(v: np.ndarray, count: int) -> np.ndarray:
+    """The count samples that cyclically follow v: v[0], v[1], ... mod len(v).
+
+    np.resize repeats its input as often as needed, so v may be shorter
+    than count; only the first count samples are handed to it, because it
+    copies its whole input.
+    """
+    return np.resize(v[:count], count)
+
+
+def _wrap_before(v: np.ndarray, count: int) -> np.ndarray:
+    """The count samples that cyclically precede v[0], in order."""
+    return _wrap_after(v[::-1], count)[::-1]
+
+
 def analysis_step(c_next, fp: FilterPair):
     """One pyramid level down: circular filter by h and g, decimate by 2.
 
@@ -78,9 +85,22 @@ def analysis_step(c_next, fp: FilterPair):
     Returns (c, x), each of length N/2.
     """
     c_next = _as_float_array(c_next)
-    if len(c_next) % 2 != 0:
-        raise ShapeError(f"analysis input length {len(c_next)} is odd")
-    return _kernels.analysis_step(c_next, fp.h, fp.g)
+    n_in = len(c_next)
+    if n_in % 2 != 0:
+        raise ShapeError(f"analysis input length {n_in} is odd")
+    half = n_in // 2
+    # Output n reads c_next[2n + i] for taps i = 0..taps-1, so extending
+    # the input cyclically by taps - 2 samples turns tap i into the stride-2
+    # slice ext[i : i + n_in : 2].
+    ext = np.concatenate((c_next, _wrap_after(c_next, len(fp.h) - 2)))
+    c = np.zeros(half)
+    x = np.zeros(half)
+    term = np.empty(half)
+    for i, (h_i, g_i) in enumerate(zip(fp.h, fp.g)):
+        v = ext[i : i + n_in : 2]
+        c += np.multiply(h_i, v, out=term)
+        x += np.multiply(g_i, v, out=term)
+    return c, x
 
 
 def synthesis_step(c, x, fp: FilterPair):
@@ -91,9 +111,28 @@ def synthesis_step(c, x, fp: FilterPair):
     """
     c = _as_float_array(c)
     x = _as_float_array(x)
-    if len(c) != len(x):
-        raise ShapeError(f"coarse/detail length mismatch: {len(c)} vs {len(x)}")
-    return _kernels.synthesis_step(c, x, fp.h, fp.g)
+    n_low = len(c)
+    if n_low != len(x):
+        raise ShapeError(f"coarse/detail length mismatch: {n_low} vs {len(x)}")
+    taps = len(fp.h)
+    # Output 2j + p takes taps i = 2k + p (k = 0..taps/2-1) at input j - k.
+    # Prepending the pad = taps/2 - 1 samples that cyclically precede
+    # index 0 turns input j - k into the contiguous slice [pad - k, pad - k
+    # + n_low) of the padded copy, one slice per tap and output parity.
+    pad = taps // 2 - 1
+    c_pad = np.concatenate((_wrap_before(c, pad), c))
+    x_pad = np.concatenate((_wrap_before(x, pad), x))
+    out = np.zeros(2 * n_low)
+    hc = np.empty(n_low)
+    gx = np.empty(n_low)
+    for parity in (0, 1):
+        acc = out[parity::2]
+        for i in range(parity, taps, 2):
+            s = slice(pad - i // 2, pad - i // 2 + n_low)
+            np.multiply(fp.h[i], c_pad[s], out=hc)
+            hc += np.multiply(fp.g[i], x_pad[s], out=gx)
+            acc += hc
+    return out
 
 
 def synthesize_pyramid(frame: SubbandFrame, fp: FilterPair) -> SampleBlock:

@@ -1,7 +1,9 @@
-"""Pure-numpy fallback for the single-level pyramid kernels.
+"""Naive single-level pyramid kernels: the test oracle for filterbank.
 
-Accumulation order matches the Cython extension tap for tap, so both
-backends return bit-identical floats.
+Each tap gathers its inputs with an explicit modular index array, straight
+from the circular-convolution formulas. The accumulation order (a zeroed
+accumulator, then one term per tap in ascending order) is the one the
+library kernels keep, so the two must agree bit for bit.
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -178,3 +179,39 @@ def test_ber_sweep_config_file(tmp_path):
     assert main(["ber-sweep", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
     assert main(sweep_args(tmp_path, "d.csv")) == 0
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--snr-grid=nan"], "SNR grid"),
+        (["--snr-grid=1,inf"], "SNR grid"),
+        (["--snr-grid=0:inf:1"], "SNR grid"),
+        (["--snr-grid=-inf:0:1"], "SNR grid"),
+        (["--method", ","], "no method"),
+        (["--method", "pam,wm1", "--scales", "6", "--message-len", "7"], "divisible"),
+        (["--method", "pam,wm2", "--taps", "5"], "tap count"),
+    ],
+)
+def test_ber_sweep_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
+    out = tmp_path / "out.csv"
+    args = sweep_args(tmp_path, "out.csv")
+    assert main([*args, *extra, "--plot"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not out.with_suffix(".svg").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_demodulate_rejects_non_finite_samples(tmp_path, capsys, bad):
+    src = tmp_path / "samples.txt"
+    src.write_text("0.5\n" * 7 + f"{bad}\n")
+    out = tmp_path / "bits.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["demodulate", str(src), "--out", str(out), "--method", "wm2", "--scales", "3"])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -8,6 +8,7 @@ from wavemod.codec import (
     METHOD2,
     MessageBlock,
     PlacementSpec,
+    coefficient_symbol_map,
     gather_observations,
     place_method1,
     place_method2,
@@ -137,3 +138,15 @@ def test_gather_shape_mismatch():
     frame = place_method2(MessageBlock(np.array([1, 0])), 2)
     with pytest.raises(ConfigurationError, match="does not match"):
         gather_observations(frame, PlacementSpec(METHOD2, 3, 2))
+
+
+def test_symbol_map_is_cached_and_read_only():
+    spec = PlacementSpec(METHOD2, 3, 4)
+    owners = coefficient_symbol_map(spec)
+    assert coefficient_symbol_map(PlacementSpec(METHOD2, 3, 4)) is owners
+    assert [o.tolist() for o in owners] == [
+        [0, 1, 2, 3], [0, 1, 2, 3] * 2, [0, 1, 2, 3] * 4
+    ]
+    for o in owners:
+        with pytest.raises(ValueError):
+            o[0] = 1
