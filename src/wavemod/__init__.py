@@ -10,7 +10,6 @@ from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filters import FilterPair, make_daubechies, validate_filter_pair
 from wavemod.filterbank import (
     BACKEND,
-    SampleBlock,
     SubbandFrame,
     analysis_step,
     analyze_pyramid,
@@ -22,12 +21,12 @@ from wavemod.codec import (
     METHOD2,
     MessageBlock,
     PlacementSpec,
-    gather_observations,
     place_method1,
     place_method2,
 )
 from wavemod.channel import NoiseSpec, add_awgn
-from wavemod.detector import Decision, ObservationSet, detect_block, ml_decide
+from wavemod.detector import detect_block
+from wavemod.modem import Modem
 from wavemod.ber import (
     BerPoint,
     ExperimentConfig,
@@ -45,16 +44,14 @@ __all__ = [
     "BACKEND",
     "BerPoint",
     "ConfigurationError",
-    "Decision",
     "ExperimentConfig",
     "FilterPair",
     "METHOD1",
     "METHOD2",
     "MessageBlock",
+    "Modem",
     "NoiseSpec",
-    "ObservationSet",
     "PlacementSpec",
-    "SampleBlock",
     "ShapeError",
     "SubbandFrame",
     "add_awgn",
@@ -65,9 +62,7 @@ __all__ = [
     "ber_method2",
     "ber_pam",
     "detect_block",
-    "gather_observations",
     "make_daubechies",
-    "ml_decide",
     "place_method1",
     "place_method2",
     "q_function",

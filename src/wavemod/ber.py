@@ -4,33 +4,16 @@ full modulate/channel/demodulate/detect chain against them.
 SNR throughout is per-copy: E0 / sigma^2, in dB as 10*log10(E0/sigma^2).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log10, sqrt
 
 import numpy as np
 from scipy.special import erfc
 
 from wavemod.channel import NoiseSpec, add_awgn
-from wavemod.codec import (
-    METHOD1,
-    METHOD2,
-    MessageBlock,
-    PlacementSpec,
-    place_method1,
-    place_method2,
-)
-from wavemod.detector import detect_block
+from wavemod.codec import METHOD1, METHOD2
 from wavemod.errors import ConfigurationError
-from wavemod.filterbank import SampleBlock, analyze_pyramid, synthesize_pyramid
-from wavemod.filters import check_taps, make_daubechies
-
-PAM = "pam"
-
-METHODS = (METHOD1, METHOD2, PAM)
-
-# Fraction of bandwidth carrying message symbols (documented constant,
-# not derived here).
-SPECTRAL_EFFICIENCY = 0.5
+from wavemod.modem import PAM, Modem
 
 
 def q_function(x):
@@ -121,33 +104,20 @@ class ExperimentConfig:
     max_trials: int = 100_000
     seed: int = 0
     wavelet_taps: int = 4
+    modem: Modem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
-            )
+        # The modem checks method, scales, message length, taps and energy.
+        modem = Modem(
+            self.method, self.num_scales, self.message_len, self.wavelet_taps, self.symbol_energy
+        )
+        object.__setattr__(self, "modem", modem)
         if len(self.snr_grid_db) == 0:
             raise ConfigurationError("snr_grid_db must be nonempty")
         if self.min_errors < 1:
             raise ConfigurationError("min_errors must be >= 1")
         if self.max_trials < 1:
             raise ConfigurationError("max_trials must be >= 1")
-        if self.symbol_energy <= 0:
-            raise ConfigurationError("symbol_energy must be > 0")
-        if self.message_len < 1:
-            raise ConfigurationError("message_len must be >= 1")
-        if self.num_scales < 1:
-            raise ConfigurationError("num_scales must be >= 1")
-        if self.method != PAM:
-            check_taps(self.wavelet_taps)
-        if self.method == METHOD1:
-            factor = 2 ** (self.num_scales - 1)
-            if self.message_len % factor != 0:
-                raise ConfigurationError(
-                    f"Method 1 with {self.num_scales} scales needs message_len "
-                    f"divisible by {factor}, got {self.message_len}"
-                )
 
 
 # Stream-id tags keeping the noise and message substreams disjoint.
@@ -162,28 +132,17 @@ def _stream_id(point_index: int, block_index: int) -> int:
 def run_monte_carlo(cfg: ExperimentConfig) -> list[BerPoint]:
     """Simulate the full chain on every SNR grid point.
 
-    Per point, message blocks are pushed through place -> synthesize ->
-    AWGN -> analyze -> detect until min_errors bit errors are seen or
-    max_trials blocks have been sent. PAM bypasses the filter bank.
-    Deterministic for a fixed seed: every block draws its bits and noise
-    from substreams keyed by (seed, point index, block index), so the
-    result is independent of execution order.
+    Per point, message blocks are pushed through cfg.modem (modulate ->
+    AWGN -> demodulate) until min_errors bit errors are seen or max_trials
+    blocks have been sent. Deterministic for a fixed seed: every block
+    draws its bits and noise from substreams keyed by (seed, point index,
+    block index), so the result is independent of execution order.
     """
-    e0 = cfg.symbol_energy
-    if cfg.method != PAM:
-        fp = make_daubechies(cfg.wavelet_taps)
-        if cfg.method == METHOD1:
-            base = cfg.message_len // 2 ** (cfg.num_scales - 1)
-            place = place_method1
-        else:
-            base = cfg.message_len
-            place = place_method2
-        pspec = PlacementSpec(cfg.method, cfg.num_scales, base)
-
+    modem = cfg.modem
     points = []
     for pt, snr_db in enumerate(cfg.snr_grid_db):
         snr = 10.0 ** (snr_db / 10.0)
-        sigma = sqrt(e0 / snr)
+        sigma = sqrt(cfg.symbol_energy / snr)
         errors = 0
         blocks = 0
         while errors < cfg.min_errors and blocks < cfg.max_trials:
@@ -192,16 +151,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[BerPoint]:
             )
             bits = bit_rng.integers(0, 2, cfg.message_len)
             nspec = NoiseSpec(sigma=sigma, seed=cfg.seed, stream_id=_stream_id(pt, blocks))
-            if cfg.method == PAM:
-                symbols = (2.0 * bits - 1.0) * sqrt(e0)
-                received = add_awgn(SampleBlock(symbols), nspec)
-                detected = (received.samples > 0).astype(np.int64)
-            else:
-                frame = place(MessageBlock(bits, e0), cfg.num_scales)
-                sent = synthesize_pyramid(frame, fp)
-                received = add_awgn(sent, nspec)
-                rframe = analyze_pyramid(received, cfg.num_scales, fp)
-                detected = detect_block(rframe, pspec, e0, sigma**2)
+            detected = modem.demodulate(add_awgn(modem.modulate(bits), nspec))
             errors += int(np.sum(detected != bits))
             blocks += 1
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from wavemod.errors import ConfigurationError
-from wavemod.filterbank import SampleBlock
 
 
 @dataclass(frozen=True)
@@ -30,12 +29,10 @@ def noise_rng(spec: NoiseSpec) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([spec.seed, spec.stream_id]))
 
 
-def add_awgn(block: SampleBlock, spec: NoiseSpec) -> SampleBlock:
+def add_awgn(samples: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """r = s + sigma * N(0, 1), drawn from the (seed, stream_id) stream."""
-    samples = np.asarray(block.samples, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
     if spec.sigma == 0.0:
-        return SampleBlock(samples=samples.copy(), rate_exponent=block.rate_exponent)
+        return samples.copy()
     noise = noise_rng(spec).standard_normal(len(samples))
-    return SampleBlock(
-        samples=samples + spec.sigma * noise, rate_exponent=block.rate_exponent
-    )
+    return samples + spec.sigma * noise

@@ -4,27 +4,19 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from wavemod import ber
 from wavemod.ber import ExperimentConfig, energy_per_symbol_factor, run_monte_carlo
-from wavemod.codec import (
-    METHOD1,
-    METHOD2,
-    MessageBlock,
-    PlacementSpec,
-    place_method1,
-    place_method2,
-)
-from wavemod.detector import detect_block
 from wavemod.errors import ConfigurationError, ShapeError
-from wavemod.filterbank import SampleBlock, analyze_pyramid, synthesize_pyramid
 from wavemod.filters import make_daubechies, validate_filter_pair
+from wavemod.modem import METHOD1, METHOD2, Modem
 from wavemod.svgplot import render_ber_svg
 
 EXIT_OK = 0
@@ -128,30 +120,11 @@ def cmd_filters(args) -> int:
     return EXIT_OK
 
 
-def _placement(method: str, scales: int, message_len: int) -> PlacementSpec:
-    if method == METHOD1:
-        factor = 2 ** (scales - 1)
-        if message_len % factor != 0:
-            raise ConfigurationError(
-                f"Method 1 with {scales} scales needs a message length divisible "
-                f"by {factor}, got {message_len}"
-            )
-        return PlacementSpec(method, scales, message_len // factor)
-    if method == METHOD2:
-        return PlacementSpec(method, scales, message_len)
-    raise ConfigurationError(f"modem supports wm1/wm2 only, got {method!r}")
-
-
 def cmd_modulate(args) -> int:
     bits = np.array(_read_lines(Path(args.input), "bit", _parse_bit))
-    _placement(args.method, args.scales, len(bits))  # validates divisibility
-    fp = make_daubechies(args.taps)
-    place = place_method1 if args.method == METHOD1 else place_method2
-    frame = place(MessageBlock(bits, args.energy), args.scales)
-    block = synthesize_pyramid(frame, fp)
-    Path(args.out).write_text(
-        "".join(f"{v:.17g}\n" for v in block.samples)
-    )
+    modem = Modem(args.method, args.scales, len(bits), args.taps, args.energy)
+    samples = modem.modulate(bits)
+    Path(args.out).write_text("".join(f"{v:.17g}\n" for v in samples))
     return EXIT_OK
 
 
@@ -159,22 +132,31 @@ def cmd_demodulate(args) -> int:
     samples = np.array(_read_lines(Path(args.input), "sample", float))
     if not np.isfinite(samples).all():
         raise ConfigurationError(f"input file {args.input} has non-finite samples")
-    fp = make_daubechies(args.taps)
-    if len(samples) % 2**args.scales != 0:
-        raise ConfigurationError(
-            f"sample count {len(samples)} not divisible by 2^{args.scales}"
-        )
-    frame = analyze_pyramid(SampleBlock(samples), args.scales, fp)
-    if args.method == METHOD1:
-        message_len = frame.n0 * 2 ** (args.scales - 1)
-    else:
-        message_len = frame.n0
-    spec = _placement(args.method, args.scales, message_len)
-    # Detection depends only on the sign of the copy sums, so unit E0 and
-    # noise variance are as good as the true channel values.
-    bits = detect_block(frame, spec, 1.0, 1.0)
+    modem = Modem.for_samples(args.method, args.scales, len(samples), args.taps)
+    bits = modem.demodulate(samples)
     Path(args.out).write_text("".join(f"{b}\n" for b in bits))
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _replace_on_success(path: Path):
+    """Yield a handle on a temporary file that replaces path if the block
+    completes and is deleted if it raises. Opened before the block runs, so
+    an output that cannot be written fails before any work is done."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        if path.is_dir():
+            raise IsADirectoryError("is a directory")
+        handle = tmp.open("w", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot open output {path}: {exc}")
+    try:
+        with handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _gather_settings(args) -> dict:
@@ -210,9 +192,6 @@ def cmd_ber_sweep(args) -> int:
     methods = [m.strip() for m in str(settings["methods"]).split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("config key 'methods': no method given")
-    for m in methods:
-        if m not in ber.METHODS:
-            raise ConfigurationError(f"config key 'methods': unknown method {m!r}")
     grid = parse_snr_grid(str(settings["snr_grid"]))
     scales = _int_setting(settings, "scales")
     seed = _int_setting(settings, "seed")
@@ -238,13 +217,9 @@ def cmd_ber_sweep(args) -> int:
     ]
 
     out_path = Path(args.out if args.out else settings.get("out", "ber.csv"))
-    try:
-        handle = out_path.open("w", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot open output {out_path}: {exc}")
-
+    svg_path = out_path.with_suffix(".svg")
     curves = []
-    with handle:
+    with _replace_on_success(out_path) as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for cfg in configs:
@@ -270,10 +245,12 @@ def cmd_ber_sweep(args) -> int:
             curves.append(
                 (f"{method} theory", True, [(p.snr_db, p.ber_theory) for p in points])
             )
+        # Inside the CSV's block, so a failed SVG write keeps the CSV back too.
+        if args.plot:
+            with _replace_on_success(svg_path) as svg:
+                svg.write(render_ber_svg(curves))
 
     if args.plot:
-        svg_path = out_path.with_suffix(".svg")
-        svg_path.write_text(render_ber_svg(curves))
         print(f"wrote {out_path} and {svg_path}")
     else:
         print(f"wrote {out_path}")
@@ -298,7 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=[METHOD1, METHOD2], default=METHOD1)
         p.add_argument("--scales", type=int, default=6)
         p.add_argument("--taps", type=int, default=4)
-        p.add_argument("--energy", type=float, default=1.0)
+        if func is cmd_modulate:
+            # Detection decides on signs only, so demodulate takes no energy.
+            p.add_argument("--energy", type=float, default=1.0)
         p.set_defaults(func=func)
 
     p = sub.add_parser("ber-sweep", help="run Monte Carlo BER sweeps to CSV/SVG")

@@ -60,25 +60,48 @@ class PlacementSpec:
         if self.base_length < 1:
             raise ConfigurationError("base_length must be >= 1")
 
+    @classmethod
+    def for_message(cls, method: str, num_scales: int, message_len: int):
+        """The spec that places a message_len-symbol message.
+
+        Method 1 decimates by up to 2**(M-1), so it needs a message length
+        divisible by that factor.
+        """
+        if method != METHOD1:
+            return cls(method, num_scales, message_len)
+        factor = 2 ** (num_scales - 1)
+        if message_len % factor != 0:
+            raise ConfigurationError(
+                f"Method 1 with {num_scales} scales needs a message length "
+                f"divisible by {factor}, got {message_len}"
+            )
+        return cls(method, num_scales, message_len // factor)
+
+    @classmethod
+    def for_samples(cls, method: str, num_scales: int, num_samples: int):
+        """The spec whose synthesized frames have num_samples samples."""
+        if num_samples % 2**num_scales != 0:
+            raise ConfigurationError(f"sample count {num_samples} not divisible by 2^{num_scales}")
+        return cls(method, num_scales, num_samples // 2**num_scales)
+
     @property
     def message_length(self) -> int:
         if self.method == METHOD1:
             return self.base_length * 2 ** (self.num_scales - 1)
         return self.base_length
 
+    @property
+    def num_samples(self) -> int:
+        """Samples in a synthesized frame: n0 * 2**M."""
+        return self.base_length * 2**self.num_scales
+
 
 def place_method1(msg: MessageBlock, num_scales: int) -> SubbandFrame:
     """Decimation placement: scale m holds every 2**(M-1-m)-th symbol."""
     a = msg.symbols()
-    n = len(a)
-    factor = 2 ** (num_scales - 1)
-    if n % factor != 0:
-        raise ConfigurationError(
-            f"Method 1 with {num_scales} scales needs a message length "
-            f"divisible by {factor}, got {n}"
-        )
+    spec = PlacementSpec.for_message(METHOD1, num_scales, len(a))
     details = [a[:: 2 ** (num_scales - 1 - m)].copy() for m in range(num_scales)]
-    return SubbandFrame(details=details, coarse=np.zeros(n // factor))
+    return SubbandFrame(details=details, coarse=np.zeros(spec.base_length))
 
 
 def place_method2(msg: MessageBlock, num_scales: int) -> SubbandFrame:
@@ -114,18 +137,3 @@ def coefficient_symbol_map(spec: PlacementSpec) -> tuple[np.ndarray, ...]:
         owners.flags.writeable = False
         out.append(owners)
     return tuple(out)
-
-
-def gather_observations(frame: SubbandFrame, spec: PlacementSpec):
-    """Collect, per message symbol, every frame coefficient it was placed in."""
-    from wavemod.detector import ObservationSet
-
-    _check_frame(frame, spec)
-    copies = [[] for _ in range(spec.message_length)]
-    for m, owners in enumerate(coefficient_symbol_map(spec)):
-        for pos, k in enumerate(owners):
-            copies[k].append(frame.details[m][pos])
-    return [
-        ObservationSet(copies=np.array(c), symbol_index=k)
-        for k, c in enumerate(copies)
-    ]

@@ -3,61 +3,22 @@
 With equal noise variance on every copy, the ML rule for both placement
 methods collapses to an equal-gain sum of the received copies followed by
 a sign threshold; the sqrt(E0)/sigma^2 scale factor never changes the
-decision.
+decision, so the detector needs neither E0 nor sigma.
 """
-
-from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from wavemod.codec import PlacementSpec, _check_frame, coefficient_symbol_map
-from wavemod.errors import ConfigurationError
 from wavemod.filterbank import SubbandFrame
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """All noisy received copies of one message symbol."""
-
-    copies: np.ndarray
-    symbol_index: int
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Detected bit and the combining statistic it came from."""
-
-    bit: int
-    statistic: float
-
-
-def ml_decide(obs: ObservationSet, symbol_energy: float, noise_var: float) -> Decision:
-    """Equal-gain ML decision: I = (sqrt(E0)/sigma^2) * sum(copies), bit 1 iff I > 0.
-
-    Ties at I = 0 go to bit 0.
-    """
-    if symbol_energy <= 0 or noise_var <= 0:
-        raise ConfigurationError("symbol_energy and noise_var must be > 0")
-    if len(obs.copies) == 0:
-        raise ConfigurationError(f"symbol {obs.symbol_index} has no observations")
-    statistic = sqrt(symbol_energy) / noise_var * float(np.sum(obs.copies))
-    return Decision(bit=int(statistic > 0), statistic=statistic)
-
-
-def detect_block(
-    frame: SubbandFrame,
-    spec: PlacementSpec,
-    symbol_energy: float,
-    noise_var: float,
-) -> np.ndarray:
+def detect_block(frame: SubbandFrame, spec: PlacementSpec) -> np.ndarray:
     """Per-symbol ML decisions over a demodulated frame.
 
-    Equivalent to gather_observations + ml_decide per symbol; the copy
-    sums are accumulated with one bincount pass per scale for speed.
+    Bit 1 iff the sum of the symbol's copies is > 0 (ties go to bit 0).
+    The copy sums are accumulated with one bincount pass per scale; the
+    per-symbol loop in tests/naive_detector.py is the reference.
     """
-    if symbol_energy <= 0 or noise_var <= 0:
-        raise ConfigurationError("symbol_energy and noise_var must be > 0")
     _check_frame(frame, spec)
     n_symbols = spec.message_length
     sums = np.zeros(n_symbols)

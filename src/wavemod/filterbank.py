@@ -24,14 +24,6 @@ BACKEND = "python"
 
 
 @dataclass(frozen=True)
-class SampleBlock:
-    """Real time-domain samples at semantic rate 2**rate_exponent."""
-
-    samples: np.ndarray
-    rate_exponent: int = 0
-
-
-@dataclass(frozen=True)
 class SubbandFrame:
     """Per-scale detail sequences plus the coarse branch.
 
@@ -135,17 +127,17 @@ def synthesis_step(c, x, fp: FilterPair):
     return out
 
 
-def synthesize_pyramid(frame: SubbandFrame, fp: FilterPair) -> SampleBlock:
+def synthesize_pyramid(frame: SubbandFrame, fp: FilterPair) -> np.ndarray:
     """Run the inverse pyramid: coarse branch up through every detail level."""
     c = _as_float_array(frame.coarse)
     for m in range(frame.num_scales):
         c = synthesis_step(c, frame.details[m], fp)
-    return SampleBlock(samples=c, rate_exponent=frame.num_scales)
+    return c
 
 
-def analyze_pyramid(block: SampleBlock, num_scales: int, fp: FilterPair) -> SubbandFrame:
+def analyze_pyramid(samples, num_scales: int, fp: FilterPair) -> SubbandFrame:
     """Run the forward pyramid, peeling one detail sequence per level."""
-    c = _as_float_array(block.samples)
+    c = _as_float_array(samples)
     if len(c) % 2**num_scales != 0:
         raise ShapeError(
             f"block length {len(c)} not divisible by 2^{num_scales}"

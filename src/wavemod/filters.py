@@ -63,20 +63,15 @@ def _daubechies_scaling(p: int) -> np.ndarray:
     return h
 
 
-def check_taps(taps: int):
-    """Raise ConfigurationError unless make_daubechies supports taps."""
-    if taps not in SUPPORTED_TAPS:
-        raise ConfigurationError(
-            f"unsupported tap count {taps}; supported values: {SUPPORTED_TAPS}"
-        )
-
-
 def make_daubechies(taps: int) -> FilterPair:
     """Construct the Daubechies filter pair with the given even tap count.
 
     taps=2 is Haar; taps=2p gives p vanishing moments, minimum-phase roots.
     """
-    check_taps(taps)
+    if taps not in SUPPORTED_TAPS:
+        raise ConfigurationError(
+            f"unsupported tap count {taps}; supported values: {SUPPORTED_TAPS}"
+        )
     h = np.ascontiguousarray(_daubechies_scaling(taps // 2))
     g = np.ascontiguousarray((-1.0) ** np.arange(taps) * h[::-1])
     h.setflags(write=False)

@@ -1,0 +1,113 @@
+"""The modem chain shared by the file CLI and the Monte Carlo harness.
+
+A Modem checks the method/scales/length contract once, when it is built.
+modulate places the message (Method 1 or 2) and synthesizes the frame;
+demodulate analyzes it and runs the equal-gain ML detector. PAM, the
+baseline, sends antipodal symbols and decides on their signs.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+# Lower layers are called through their modules (codec.place_method1, ...):
+# the benchmark's tracer wraps functions by replacing module attributes,
+# and only in modules it lists, which do not include this one.
+from wavemod import codec, detector, filterbank, filters
+from wavemod.codec import METHOD1, METHOD2, PlacementSpec
+from wavemod.errors import ConfigurationError, ShapeError
+
+PAM = "pam"
+
+METHODS = (METHOD1, METHOD2, PAM)
+
+# Largest frame a modem accepts: 128 MiB per float64 array.
+MAX_FRAME_SAMPLES = 2**24
+
+# A filter-bank frame at depth M has at least 2**M samples, so deeper
+# frames are over the cap whatever the message length.
+_MAX_SCALES = MAX_FRAME_SAMPLES.bit_length() - 1
+
+
+@dataclass(frozen=True)
+class Modem:
+    """One modulate/demodulate chain: method, scale count, message length,
+    filter taps and per-copy symbol energy E0. PAM ignores scales and taps."""
+
+    method: str
+    num_scales: int
+    message_len: int
+    taps: int = 4
+    symbol_energy: float = 1.0
+    spec: PlacementSpec = field(init=False, repr=False, compare=False)  # None for PAM
+    filter_pair: filters.FilterPair = field(init=False, repr=False, compare=False)
+    num_samples: int = field(init=False, repr=False, compare=False)  # per frame
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigurationError(
+                f"unknown method {self.method!r}; supported methods: {METHODS}"
+            )
+        if self.num_scales < 1:
+            raise ConfigurationError("num_scales must be >= 1")
+        if self.message_len < 1:
+            raise ConfigurationError("message_len must be >= 1")
+        if not (math.isfinite(self.symbol_energy) and self.symbol_energy > 0):
+            raise ConfigurationError(
+                f"symbol energy must be finite and > 0, got {self.symbol_energy}"
+            )
+        spec, fp = None, None
+        if self.method == PAM:
+            num_samples = self.message_len
+        elif self.num_scales > _MAX_SCALES:
+            num_samples = math.inf  # skips building 2**num_scales
+        else:
+            spec = PlacementSpec.for_message(self.method, self.num_scales, self.message_len)
+            num_samples = spec.num_samples
+            fp = filters.make_daubechies(self.taps)
+        if num_samples > MAX_FRAME_SAMPLES:
+            raise ConfigurationError(
+                f"{self.method} with {self.num_scales} scales and {self.message_len} bits "
+                f"needs frames over the cap of {MAX_FRAME_SAMPLES} samples"
+            )
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "filter_pair", fp)
+        object.__setattr__(self, "num_samples", num_samples)
+
+    @classmethod
+    def for_samples(cls, method: str, num_scales: int, num_samples: int, taps: int = 4):
+        """The modem whose frames have num_samples samples.
+
+        For demodulation, where the received frame fixes the message
+        length. E0 stays 1: the detector decides on the sign of the copy
+        sums only, so the energy never changes a decision.
+        """
+        message_len = num_samples
+        # A PAM frame is the message; a depth out of range is left for the
+        # constructor to reject.
+        if method in (METHOD1, METHOD2) and 1 <= num_scales <= _MAX_SCALES:
+            message_len = PlacementSpec.for_samples(method, num_scales, num_samples).message_length
+        return cls(method, num_scales, message_len, taps)
+
+    def modulate(self, bits) -> np.ndarray:
+        """message_len bits (0 or 1) -> one frame of samples."""
+        if len(bits) != self.message_len:
+            raise ShapeError(f"message has {len(bits)} bits, expected {self.message_len}")
+        msg = codec.MessageBlock(bits, self.symbol_energy)
+        if self.method == METHOD1:
+            frame = codec.place_method1(msg, self.num_scales)
+        elif self.method == METHOD2:
+            frame = codec.place_method2(msg, self.num_scales)
+        else:
+            return msg.symbols()
+        return filterbank.synthesize_pyramid(frame, self.filter_pair)
+
+    def demodulate(self, samples) -> np.ndarray:
+        """One frame of samples -> message_len detected bits (int64)."""
+        if len(samples) != self.num_samples:
+            raise ShapeError(f"frame has {len(samples)} samples, expected {self.num_samples}")
+        if self.spec is None:
+            return (np.asarray(samples) > 0).astype(np.int64)
+        frame = filterbank.analyze_pyramid(samples, self.num_scales, self.filter_pair)
+        return detector.detect_block(frame, self.spec)

@@ -24,7 +24,7 @@ from wavemod.ber import (
 )
 from wavemod.channel import NoiseSpec, add_awgn
 from wavemod.cli import main
-from wavemod.filterbank import SampleBlock, SubbandFrame, analyze_pyramid, synthesize_pyramid
+from wavemod.filterbank import SubbandFrame, analyze_pyramid, synthesize_pyramid
 from wavemod.filters import make_daubechies, validate_filter_pair
 
 
@@ -96,7 +96,7 @@ def test_criterion_4_noise_whiteness():
     blocks = int(np.ceil(1e6 / block_len))
     per_scale = [[] for _ in range(num_scales)]
     for b in range(blocks):
-        noisy = add_awgn(SampleBlock(np.zeros(block_len)), NoiseSpec(1.0, 77, b))
+        noisy = add_awgn(np.zeros(block_len), NoiseSpec(1.0, 77, b))
         frame = analyze_pyramid(noisy, num_scales, fp)
         for m in range(num_scales):
             per_scale[m].append(frame.details[m])

@@ -3,45 +3,44 @@ import pytest
 
 from wavemod.channel import NoiseSpec, add_awgn
 from wavemod.errors import ConfigurationError
-from wavemod.filterbank import SampleBlock
 
 
 def test_zero_sigma_is_identity():
-    block = SampleBlock(np.arange(8, dtype=float))
+    block = np.arange(8, dtype=float)
     out = add_awgn(block, NoiseSpec(sigma=0.0, seed=1))
-    assert np.array_equal(out.samples, block.samples)
+    assert np.array_equal(out, block)
 
 
 def test_determinism_per_stream():
-    block = SampleBlock(np.zeros(100))
+    block = np.zeros(100)
     spec = NoiseSpec(sigma=1.0, seed=42, stream_id=7)
     a = add_awgn(block, spec)
     b = add_awgn(block, spec)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 def test_streams_are_distinct():
-    block = SampleBlock(np.zeros(100))
+    block = np.zeros(100)
     a = add_awgn(block, NoiseSpec(sigma=1.0, seed=42, stream_id=0))
     b = add_awgn(block, NoiseSpec(sigma=1.0, seed=42, stream_id=1))
     c = add_awgn(block, NoiseSpec(sigma=1.0, seed=43, stream_id=0))
-    assert not np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_order_independence():
-    block = SampleBlock(np.zeros(16))
-    first = [add_awgn(block, NoiseSpec(1.0, 5, i)).samples for i in range(4)]
-    second = [add_awgn(block, NoiseSpec(1.0, 5, i)).samples for i in reversed(range(4))]
+    block = np.zeros(16)
+    first = [add_awgn(block, NoiseSpec(1.0, 5, i)) for i in range(4)]
+    second = [add_awgn(block, NoiseSpec(1.0, 5, i)) for i in reversed(range(4))]
     for i in range(4):
         assert np.array_equal(first[i], second[3 - i])
 
 
 def test_moments_at_scale():
     n = 10**6
-    out = add_awgn(SampleBlock(np.zeros(n)), NoiseSpec(sigma=1.0, seed=0))
-    assert abs(np.mean(out.samples)) < 5e-3
-    assert abs(np.var(out.samples) - 1.0) < 0.01
+    out = add_awgn(np.zeros(n), NoiseSpec(sigma=1.0, seed=0))
+    assert abs(np.mean(out)) < 5e-3
+    assert abs(np.var(out) - 1.0) < 0.01
 
 
 def test_negative_sigma_rejected():

@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
+from wavemod import cli
 from wavemod.cli import main, parse_snr_grid, read_config_file, CSV_COLUMNS
 from wavemod.errors import ConfigurationError
 from wavemod.filters import make_daubechies
@@ -170,6 +176,14 @@ def test_ber_sweep_unwritable_output(tmp_path, capsys):
     assert rc == 3
 
 
+def test_ber_sweep_output_is_directory(tmp_path, capsys, monkeypatch):
+    (tmp_path / "out.csv").mkdir()
+    monkeypatch.setattr(cli, "run_monte_carlo", None)  # fails before the sweep
+    assert main(sweep_args(tmp_path, "out.csv")) == 3
+    assert "cannot open output" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_ber_sweep_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -191,6 +205,10 @@ def test_ber_sweep_config_file(tmp_path):
         (["--method", ","], "no method"),
         (["--method", "pam,wm1", "--scales", "6", "--message-len", "7"], "divisible"),
         (["--method", "pam,wm2", "--taps", "5"], "tap count"),
+        (["--energy=nan"], "energy"),
+        (["--energy=inf"], "energy"),
+        (["--energy=0"], "energy"),
+        (["--method", "pam,wm2", "--scales", "40"], "cap"),
     ],
 )
 def test_ber_sweep_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
@@ -215,3 +233,129 @@ def test_demodulate_rejects_non_finite_samples(tmp_path, capsys, bad):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--energy=nan"], "energy"),
+        (["--energy=inf"], "energy"),
+        (["--energy=0"], "energy"),
+        (["--energy=-5"], "energy"),
+        (["--method", "wm2", "--scales", "40"], "cap"),
+    ],
+)
+def test_modulate_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
+    src = tmp_path / "bits.txt"
+    write_bits(src, [0, 1] * 256)
+    out = tmp_path / "samples.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["modulate", str(src), "--out", str(out), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_demodulate_takes_no_energy(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demodulate", str(tmp_path / "s.txt"), "--out", str(tmp_path / "b.txt"),
+              "--energy", "-5"])
+    assert exc.value.code == 2
+    assert "--energy" in capsys.readouterr().err
+
+
+def test_ber_sweep_failure_mid_run_leaves_no_output(tmp_path, monkeypatch, capsys):
+    real = cli.run_monte_carlo
+    calls = []
+
+    def fail_on_second(cfg):
+        calls.append(cfg.method)
+        if len(calls) == 2:
+            raise ConfigurationError("injected failure")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_monte_carlo", fail_on_second)
+    args = sweep_args(tmp_path, "out.csv", extra=["--method", "pam,wm2", "--scales", "2", "--plot"])
+    assert main(args) == 2
+    assert calls == ["pam", "wm2"]
+    assert "injected failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Per setting: values the contract accepts, then values it must reject.
+# Frames stay small; 40 scales appears only to hit the frame cap.
+FUZZ_SETTINGS = {
+    "scales": ([1, 2, 3], [-1, 0, 40]),
+    "taps": ([2, 4, 8], [0, 3]),
+    "energy": (["1", "0.25", "1e300"], ["0", "-1", "nan", "inf"]),
+    "methods": (["pam", "wm1", "wm2", "wm1,wm2,pam"], ["qam", ","]),
+    "message_len": ([8, 16], [0, 7]),
+    "snr_grid": (["0", "0,3", "-2:2:2"], ["nan", "4:0:1", "0:inf:1"]),
+    "min_errors": ([1, 5], [0]),
+    "max_trials": ([1, 2], [0]),
+    "bits": ([8, 16, 32], [0, 7, "2", "x"]),
+    "samples": ([8, 16, 64], [1, 12, "nan", "inf"]),
+}
+
+
+def _fuzz_argv(draw, workdir):
+    """One CLI call, valid except for at most one setting drawn from the
+    rejected values; returns (argv, the paths the call may write)."""
+    st = strategies
+    command = draw(st.sampled_from(["filters", "modulate", "demodulate", "ber-sweep"]))
+    broken = draw(st.sampled_from([None, *FUZZ_SETTINGS]))
+    v = {
+        key: draw(st.sampled_from(bad if key == broken else good))
+        for key, (good, bad) in FUZZ_SETTINGS.items()
+    }
+    if command == "filters":
+        return ["filters", f"--taps={v['taps']}"], []
+    if command == "ber-sweep":
+        out = workdir / "out.csv"
+        argv = ["ber-sweep", "--method", v["methods"], "--out", str(out)]
+        argv += [f"--{key.replace('_', '-')}={v[key]}" for key in (
+            "scales", "taps", "energy", "message_len", "snr_grid", "min_errors", "max_trials")]
+        if draw(st.booleans()):
+            argv.append("--plot")
+        return argv, [out, out.with_suffix(".svg")]
+    src = workdir / "in.txt"
+    out = workdir / "out.txt"
+    if command == "modulate":
+        n = v["bits"] if isinstance(v["bits"], int) else 8
+        lines = [str(b) for b in draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))]
+        if isinstance(v["bits"], str):
+            lines[draw(st.integers(0, n - 1))] = v["bits"]
+    else:
+        n = v["samples"] if isinstance(v["samples"], int) else 8
+        lines = [repr(x) for x in draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n))]
+        if isinstance(v["samples"], str):
+            lines[draw(st.integers(0, n - 1))] = v["samples"]
+    src.write_text("".join(f"{line}\n" for line in lines))
+    argv = [command, str(src), "--out", str(out), "--method", draw(st.sampled_from(["wm1", "wm2"])),
+            f"--scales={v['scales']}", f"--taps={v['taps']}"]
+    if command == "modulate":
+        argv.append(f"--energy={v['energy']}")
+    return argv, [out]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(strategies.data())
+def test_cli_fuzz_keeps_its_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        argv, outputs = _fuzz_argv(data.draw, workdir)
+        before = set(workdir.iterdir())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+        assert rc in (0, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if rc != 0:
+            assert set(workdir.iterdir()) == before, argv
+        for path in outputs:
+            if path.exists():
+                text = path.read_text().lower()
+                assert "nan" not in text and "inf" not in text, argv

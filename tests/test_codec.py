@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from naive_detector import gather_observations
 
 from wavemod.codec import (
     METHOD1,
@@ -9,7 +10,6 @@ from wavemod.codec import (
     MessageBlock,
     PlacementSpec,
     coefficient_symbol_map,
-    gather_observations,
     place_method1,
     place_method2,
 )

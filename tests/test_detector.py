@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from naive_detector import Decision, ObservationSet, gather_observations, ml_decide
 
 from wavemod.channel import NoiseSpec, add_awgn
 from wavemod.codec import (
@@ -9,11 +10,10 @@ from wavemod.codec import (
     METHOD2,
     MessageBlock,
     PlacementSpec,
-    gather_observations,
     place_method1,
     place_method2,
 )
-from wavemod.detector import Decision, ObservationSet, detect_block, ml_decide
+from wavemod.detector import detect_block
 from wavemod.errors import ConfigurationError
 from wavemod.filterbank import analyze_pyramid, synthesize_pyramid
 from wavemod.filters import make_daubechies
@@ -86,7 +86,7 @@ def test_noiseless_round_trip(method, place, msg_len, num_scales):
     base = frame.n0
     block = synthesize_pyramid(frame, fp)
     back = analyze_pyramid(block, num_scales, fp)
-    detected = detect_block(back, PlacementSpec(method, num_scales, base), 1.0, 1.0)
+    detected = detect_block(back, PlacementSpec(method, num_scales, base))
     assert np.array_equal(detected, bits)
 
 
@@ -100,7 +100,7 @@ def test_detect_block_matches_gather_plus_ml_decide():
         noisy = add_awgn(block, NoiseSpec(sigma=1.0, seed=99))
         back = analyze_pyramid(noisy, 4, fp)
         spec = PlacementSpec(method, 4, frame.n0)
-        fast = detect_block(back, spec, 1.0, 1.0)
+        fast = detect_block(back, spec)
         slow = [ml_decide(o, 1.0, 1.0).bit for o in gather_observations(back, spec)]
         assert np.array_equal(fast, slow)
 
@@ -111,7 +111,7 @@ def test_single_scale_reduces_to_sign_detector():
     frame = place_method1(MessageBlock(bits), 1)
     noisy_details = frame.details[0] + rng.normal(0, 2.0, 16)
     frame2 = type(frame)(details=[noisy_details], coarse=frame.coarse)
-    detected = detect_block(frame2, PlacementSpec(METHOD1, 1, 16), 1.0, 1.0)
+    detected = detect_block(frame2, PlacementSpec(METHOD1, 1, 16))
     assert np.array_equal(detected, (noisy_details > 0).astype(int))
 
 
@@ -121,7 +121,7 @@ def test_one_corrupted_copy_out_of_seven_survives():
     bits = np.array([1])
     frame = place_method2(MessageBlock(bits), 3)
     frame.details[2][3] = -5.9  # clean copies are +1 each
-    detected = detect_block(frame, PlacementSpec(METHOD2, 3, 1), 1.0, 1.0)
+    detected = detect_block(frame, PlacementSpec(METHOD2, 3, 1))
     assert detected[0] == 1
 
 

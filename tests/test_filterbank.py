@@ -6,7 +6,6 @@ import pytest
 
 from wavemod.errors import ShapeError
 from wavemod.filterbank import (
-    SampleBlock,
     SubbandFrame,
     analysis_step,
     analyze_pyramid,
@@ -79,7 +78,7 @@ def test_length_mismatch_rejected():
 
 def test_pyramid_divisibility_rejected():
     with pytest.raises(ShapeError, match="divisible"):
-        analyze_pyramid(SampleBlock(np.ones(12)), 3, make_daubechies(2))
+        analyze_pyramid(np.ones(12), 3, make_daubechies(2))
 
 
 def test_single_butterfly_pyramid():
@@ -87,18 +86,18 @@ def test_single_butterfly_pyramid():
     frame = SubbandFrame(details=[np.array([math.sqrt(e0)])], coarse=np.array([0.0]))
     block = synthesize_pyramid(frame, make_daubechies(2))
     np.testing.assert_allclose(
-        block.samples, [math.sqrt(e0) / SQRT2, -math.sqrt(e0) / SQRT2], atol=1e-15
+        block, [math.sqrt(e0) / SQRT2, -math.sqrt(e0) / SQRT2], atol=1e-15
     )
 
 
 def test_haar_analysis_butterfly_pyramid():
-    frame = analyze_pyramid(SampleBlock(np.array([1.0, -1.0])), 1, make_daubechies(2))
+    frame = analyze_pyramid(np.array([1.0, -1.0]), 1, make_daubechies(2))
     np.testing.assert_allclose(frame.coarse, [0.0], atol=1e-15)
     np.testing.assert_allclose(frame.details[0], [SQRT2], atol=1e-15)
 
 
 def test_zero_block_zero_frame():
-    frame = analyze_pyramid(SampleBlock(np.zeros(32)), 3, make_daubechies(4))
+    frame = analyze_pyramid(np.zeros(32), 3, make_daubechies(4))
     assert np.all(frame.coarse == 0.0)
     assert all(np.all(d == 0.0) for d in frame.details)
 
@@ -120,7 +119,7 @@ def test_parseval(taps):
     fp = make_daubechies(taps)
     frame = random_frame(rng, 4, 5)
     block = synthesize_pyramid(frame, fp)
-    energy = np.sum(block.samples**2)
+    energy = np.sum(block**2)
     assert abs(energy - frame_energy(frame)) < 1e-10 * energy
 
 
@@ -129,9 +128,9 @@ def test_linearity():
     fp = make_daubechies(4)
     u, v = rng.standard_normal(64), rng.standard_normal(64)
     a, b = 2.5, -1.25
-    combined = analyze_pyramid(SampleBlock(a * u + b * v), 4, fp)
-    fu = analyze_pyramid(SampleBlock(u), 4, fp)
-    fv = analyze_pyramid(SampleBlock(v), 4, fp)
+    combined = analyze_pyramid(a * u + b * v, 4, fp)
+    fu = analyze_pyramid(u, 4, fp)
+    fv = analyze_pyramid(v, 4, fp)
     for m in range(4):
         np.testing.assert_allclose(
             combined.details[m], a * fu.details[m] + b * fv.details[m], atol=1e-10

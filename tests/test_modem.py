@@ -1,0 +1,102 @@
+import numpy as np
+import pytest
+
+from wavemod.errors import ConfigurationError, ShapeError
+from wavemod.modem import MAX_FRAME_SAMPLES, METHODS, Modem
+
+
+def message_len_for(method, num_scales):
+    # Method 1 needs a multiple of 2**(M-1); any length works for the others.
+    return 3 * 2 ** (num_scales - 1) if method == "wm1" else 11
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+@pytest.mark.parametrize("method", METHODS)
+def test_noiseless_round_trip(method, taps):
+    num_scales = 4
+    modem = Modem(method, num_scales, message_len_for(method, num_scales), taps, 2.5)
+    bits = np.random.default_rng(taps).integers(0, 2, modem.message_len)
+    samples = modem.modulate(bits)
+    assert len(samples) == modem.num_samples
+    assert np.array_equal(modem.demodulate(samples), bits)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("num_scales", [1, 3, 6])
+def test_for_samples_inverts_frame_length(method, num_scales):
+    modem = Modem(method, num_scales, message_len_for(method, num_scales), taps=6)
+    back = Modem.for_samples(method, num_scales, modem.num_samples, taps=6)
+    assert back == modem
+    assert back.num_samples == modem.num_samples
+
+
+def test_frame_lengths():
+    assert Modem("wm1", 6, 512).num_samples == 1024
+    assert Modem("wm2", 6, 512).num_samples == 512 * 2**6
+    assert Modem("pam", 6, 512).num_samples == 512
+
+
+def test_pam_is_antipodal_with_sign_decision():
+    modem = Modem("pam", 1, 4, symbol_energy=4.0)
+    np.testing.assert_array_equal(modem.modulate(np.array([1, 0, 0, 1])), [2.0, -2.0, -2.0, 2.0])
+    np.testing.assert_array_equal(modem.demodulate(np.array([0.1, -3.0, 0.0, 5.0])), [1, 0, 0, 1])
+
+
+def test_frame_cap_boundary():
+    # 512 * 2**15 == MAX_FRAME_SAMPLES is allowed; one more scale is not.
+    assert Modem("wm2", 15, 512).num_samples == MAX_FRAME_SAMPLES
+    with pytest.raises(ConfigurationError, match="cap"):
+        Modem("wm2", 16, 512)
+    assert Modem("pam", 1, MAX_FRAME_SAMPLES).num_samples == MAX_FRAME_SAMPLES
+    with pytest.raises(ConfigurationError, match="cap"):
+        Modem("pam", 1, MAX_FRAME_SAMPLES + 1)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("qam", 4, 64), {}, "unknown method"),
+        (("wm2", 0, 64), {}, "num_scales"),
+        (("wm1", -1, 64), {}, "num_scales"),
+        (("pam", 0, 64), {}, "num_scales"),
+        (("wm2", 4, 0), {}, "message_len"),
+        (("wm1", 4, 100), {}, "divisible by 8"),
+        (("wm2", 4, 64), {"taps": 5}, "tap count"),
+        (("wm1", 4, 64), {"taps": 0}, "tap count"),
+        (("wm2", 4, 64), {"symbol_energy": 0.0}, "energy"),
+        (("wm2", 4, 64), {"symbol_energy": -1.0}, "energy"),
+        (("wm1", 4, 64), {"symbol_energy": float("nan")}, "energy"),
+        (("pam", 4, 64), {"symbol_energy": float("inf")}, "energy"),
+        (("wm2", 40, 512), {}, "cap"),
+        (("wm1", 40, 512), {}, "cap"),
+        (("wm1", 10**12, 512), {}, "cap"),
+        (("wm2", 20, 512), {}, "cap"),
+    ],
+)
+def test_contract_violations(args, kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        Modem(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "method, num_scales, num_samples, message",
+    [
+        ("wm2", 3, 12, "not divisible by 2\\^3"),
+        ("wm1", 0, 8, "num_scales"),
+        ("wm2", 40, 8, "cap"),
+        ("pam", 1, MAX_FRAME_SAMPLES + 1, "cap"),
+    ],
+)
+def test_for_samples_violations(method, num_scales, num_samples, message):
+    with pytest.raises(ConfigurationError, match=message):
+        Modem.for_samples(method, num_scales, num_samples)
+
+
+def test_block_length_must_match():
+    modem = Modem("wm2", 3, 4)
+    with pytest.raises(ShapeError, match="bits"):
+        modem.modulate(np.zeros(5, dtype=int))
+    with pytest.raises(ShapeError, match="samples"):
+        modem.demodulate(np.zeros(16))
+    with pytest.raises(ShapeError, match="samples"):
+        Modem("pam", 1, 4).demodulate(np.zeros(3))
