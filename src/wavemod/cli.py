@@ -47,6 +47,9 @@ DEFAULTS = {
     "taps": 4,
 }
 
+# Most points an "a:b:step" SNR grid may have, checked before it is built.
+MAX_SNR_POINTS = 10_000
+
 
 def parse_snr_grid(text: str) -> tuple:
     """Parse "a:b:step" (inclusive endpoints) or a comma-separated list."""
@@ -55,22 +58,37 @@ def parse_snr_grid(text: str) -> tuple:
             lo, hi, step = (float(p) for p in text.split(":"))
             if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
                 raise ValueError
-            n = int(round((hi - lo) / step)) + 1
+            # Not finite when (hi - lo) / step overflows, e.g. 0:1e300:1e-300.
+            steps = (hi - lo) / step
+            if not steps <= MAX_SNR_POINTS - 1:
+                raise ConfigurationError(
+                    f"SNR grid {text!r} has more than {MAX_SNR_POINTS} points"
+                )
+            n = int(round(steps)) + 1
             return tuple(lo + i * step for i in range(n) if lo + i * step <= hi + 1e-9)
         grid = tuple(float(p) for p in text.split(","))
         if not all(map(math.isfinite, grid)):
             raise ValueError
         return grid
+    except ConfigurationError:
+        raise
     except ValueError:
         raise ConfigurationError(
             f"cannot parse SNR grid {text!r}; expected a:b:step or a list of finite values"
         )
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"input file {path} is not UTF-8 text") from None
+
+
 def read_config_file(path: Path) -> dict:
     """Flat key=value text file; blank lines and # comments allowed."""
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -84,21 +102,33 @@ def read_config_file(path: Path) -> dict:
     return values
 
 
-def _read_lines(path: Path, kind: str, parse):
+def _read_lines(path: Path, kind: str, parse) -> list:
+    """One value per non-blank line, each stripped and passed to parse."""
     if not path.exists():
         raise OSError(f"input file {path} does not exist")
-    values = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            values.append(parse(line))
-        except ValueError:
-            raise ConfigurationError(f"{path}: line {lineno}: malformed {kind}: {raw!r}")
+    lines = _read_text(path).splitlines()
+    try:
+        values = list(map(parse, filter(None, map(str.strip, lines))))
+    except ValueError:
+        # Only a bad file pays for the second pass that names its line.
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            try:
+                if line:
+                    parse(line)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: line {lineno}: malformed {kind}: {raw!r}"
+                ) from None
+        raise
     if not values:
         raise ConfigurationError(f"input file {path} is empty")
     return values
+
+
+def _write_lines(path: Path, line_format: str, values: np.ndarray):
+    """One value per line, formatted in a single %-operation."""
+    path.write_text((line_format * len(values)) % tuple(values.tolist()))
 
 
 def _parse_bit(token: str) -> int:
@@ -123,8 +153,8 @@ def cmd_filters(args) -> int:
 def cmd_modulate(args) -> int:
     bits = np.array(_read_lines(Path(args.input), "bit", _parse_bit))
     modem = Modem(args.method, args.scales, len(bits), args.taps, args.energy)
-    samples = modem.modulate(bits)
-    Path(args.out).write_text("".join(f"{v:.17g}\n" for v in samples))
+    # %.17g round-trips every float64 exactly.
+    _write_lines(Path(args.out), "%.17g\n", modem.modulate(bits))
     return EXIT_OK
 
 
@@ -133,8 +163,7 @@ def cmd_demodulate(args) -> int:
     if not np.isfinite(samples).all():
         raise ConfigurationError(f"input file {args.input} has non-finite samples")
     modem = Modem.for_samples(args.method, args.scales, len(samples), args.taps)
-    bits = modem.demodulate(samples)
-    Path(args.out).write_text("".join(f"{b}\n" for b in bits))
+    _write_lines(Path(args.out), "%d\n", modem.demodulate(samples))
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ class MessageBlock:
         bits = np.asarray(self.bits)
         if self.symbol_energy <= 0:
             raise ConfigurationError(f"symbol energy must be > 0, got {self.symbol_energy}")
-        if not np.isin(bits, (0, 1)).all():
+        if not ((bits == 0) | (bits == 1)).all():
             raise ConfigurationError("message bits must be 0 or 1")
         return (2.0 * bits - 1.0) * sqrt(self.symbol_energy)
 

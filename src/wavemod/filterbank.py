@@ -55,19 +55,15 @@ def _as_float_array(seq) -> np.ndarray:
     return np.ascontiguousarray(seq, dtype=np.float64)
 
 
-def _wrap_after(v: np.ndarray, count: int) -> np.ndarray:
-    """The count samples that cyclically follow v: v[0], v[1], ... mod len(v).
+def _cyclic(v: np.ndarray, start: int, count: int) -> np.ndarray:
+    """count samples of v from index start on, indices taken mod len(v).
 
-    np.resize repeats its input as often as needed, so v may be shorter
-    than count; only the first count samples are handed to it, because it
-    copies its whole input.
+    v may be shorter than count. An empty v gets zeros, which no kernel
+    reads: every slice of an empty input is empty.
     """
-    return np.resize(v[:count], count)
-
-
-def _wrap_before(v: np.ndarray, count: int) -> np.ndarray:
-    """The count samples that cyclically precede v[0], in order."""
-    return _wrap_after(v[::-1], count)[::-1]
+    if len(v) == 0:
+        return np.zeros(count)
+    return v[np.arange(start, start + count) % len(v)]
 
 
 def analysis_step(c_next, fp: FilterPair):
@@ -84,7 +80,7 @@ def analysis_step(c_next, fp: FilterPair):
     # Output n reads c_next[2n + i] for taps i = 0..taps-1, so extending
     # the input cyclically by taps - 2 samples turns tap i into the stride-2
     # slice ext[i : i + n_in : 2].
-    ext = np.concatenate((c_next, _wrap_after(c_next, len(fp.h) - 2)))
+    ext = np.concatenate((c_next, _cyclic(c_next, 0, len(fp.h) - 2)))
     c = np.zeros(half)
     x = np.zeros(half)
     term = np.empty(half)
@@ -112,8 +108,8 @@ def synthesis_step(c, x, fp: FilterPair):
     # index 0 turns input j - k into the contiguous slice [pad - k, pad - k
     # + n_low) of the padded copy, one slice per tap and output parity.
     pad = taps // 2 - 1
-    c_pad = np.concatenate((_wrap_before(c, pad), c))
-    x_pad = np.concatenate((_wrap_before(x, pad), x))
+    c_pad = np.concatenate((_cyclic(c, -pad, pad), c))
+    x_pad = np.concatenate((_cyclic(x, -pad, pad), x))
     out = np.zeros(2 * n_low)
     hc = np.empty(n_low)
     gx = np.empty(n_low)

@@ -1,18 +1,24 @@
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import naive_cli_io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+import wavemod
 from wavemod import cli
-from wavemod.cli import main, parse_snr_grid, read_config_file, CSV_COLUMNS
+from wavemod.cli import MAX_SNR_POINTS, main, parse_snr_grid, read_config_file, CSV_COLUMNS
 from wavemod.errors import ConfigurationError
 from wavemod.filters import make_daubechies
+from wavemod.modem import Modem
 
 
 def write_bits(path, bits):
@@ -94,6 +100,12 @@ def test_parse_snr_grid():
         parse_snr_grid("4:0:2")
     with pytest.raises(ConfigurationError):
         parse_snr_grid("a:b:c")
+
+
+def test_parse_snr_grid_point_cap():
+    assert len(parse_snr_grid(f"0:{MAX_SNR_POINTS - 1}:1")) == MAX_SNR_POINTS
+    with pytest.raises(ConfigurationError, match="more than"):
+        parse_snr_grid(f"0:{MAX_SNR_POINTS}:1")
 
 
 def test_config_file_parsing(tmp_path):
@@ -209,6 +221,8 @@ def test_ber_sweep_config_file(tmp_path):
         (["--energy=inf"], "energy"),
         (["--energy=0"], "energy"),
         (["--method", "pam,wm2", "--scales", "40"], "cap"),
+        (["--snr-grid=0:1e8:1"], "SNR grid"),
+        (["--snr-grid=0:1e300:1e-300"], "SNR grid"),
     ],
 )
 def test_ber_sweep_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
@@ -267,6 +281,97 @@ def test_demodulate_takes_no_energy(tmp_path, capsys):
     assert "--energy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["wm1", "wm2"])
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_modulate_output_matches_per_value_formatter(tmp_path, method, taps):
+    bits = np.random.default_rng(taps).integers(0, 2, 512)
+    src = tmp_path / "bits.txt"
+    out = tmp_path / "samples.txt"
+    write_bits(src, bits)
+    argv = ["modulate", str(src), "--out", str(out), "--method", method, "--scales", "6",
+            "--taps", str(taps), "--energy", "2.5"]
+    assert main(argv) == 0
+    samples = Modem(method, 6, 512, taps, 2.5).modulate(bits)
+    assert out.read_text() == naive_cli_io.format_samples(samples)
+
+
+def test_sample_format_round_trips_bit_exactly(tmp_path):
+    values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e-300])
+    path = tmp_path / "samples.txt"
+    cli._write_lines(path, "%.17g\n", values)
+    assert path.read_text() == naive_cli_io.format_samples(values)
+    back = np.array(cli._read_lines(path, "sample", float))
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+READER_CASES = {
+    "blank lines": "1\n\n0\n\n",
+    "whitespace-only lines": "1\n   \n\t\n0\n",
+    "crlf": "1\r\n0\r\n",
+    "bare cr": "1\r0\r1",
+    "tabs": "\t1\t\n0 \t\n",
+    "form feed between values": "1\x0c0\n",
+    "unit separator between values": "1\x1f0\n",
+    "underscore": "1_000\n",
+    "plus and exponent": "+1e-3\n",
+    "no final newline": "1\n0",
+    "two values on one line": "1\n0 1\n1\n",
+    "bad value mid-file": "1\nx\n0\n",
+    "empty file": "",
+    "whitespace-only file": "  \n\t\n",
+}
+
+
+@pytest.mark.parametrize("parse", [cli._parse_bit, float], ids=["bit", "sample"])
+@pytest.mark.parametrize("text", READER_CASES.values(), ids=READER_CASES.keys())
+def test_read_lines_matches_per_line_reader(tmp_path, text, parse):
+    path = tmp_path / "in.txt"
+    path.write_bytes(text.encode())
+
+    def outcome(read):
+        try:
+            return read(path, "value", parse)
+        except ConfigurationError as exc:
+            return str(exc)
+
+    expected = outcome(naive_cli_io.read_lines)
+    assert outcome(cli._read_lines) == expected
+    assert expected  # every case gives values or an error message
+
+
+def test_file_modem_does_not_import_scipy(tmp_path):
+    write_bits(tmp_path / "bits.txt", [0, 1] * 16)
+    code = (
+        "import sys; import wavemod.cli as c; "
+        "a = ['--method', 'wm2', '--scales', '2']; "
+        "assert c.main(['modulate', 'bits.txt', '--out', 's.txt', *a]) == 0; "
+        "assert c.main(['demodulate', 's.txt', '--out', 'b.txt', *a]) == 0; "
+        "print('scipy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    assert (tmp_path / "b.txt").read_text() == (tmp_path / "bits.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["modulate", "demodulate", "ber-sweep"])
+def test_undecodable_input_is_config_error(tmp_path, capsys, command):
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"\xff\xfe" + "1\n0\n".encode("utf-16-le"))  # a UTF-16 file
+    out = tmp_path / "out.txt"
+    if command == "ber-sweep":
+        argv = ["ber-sweep", "--config", str(src), "--out", str(out)]
+    else:
+        argv = [command, str(src), "--out", str(out), "--scales", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ber_sweep_failure_mid_run_leaves_no_output(tmp_path, monkeypatch, capsys):
     real = cli.run_monte_carlo
     calls = []
@@ -298,6 +403,7 @@ FUZZ_SETTINGS = {
     "max_trials": ([1, 2], [0]),
     "bits": ([8, 16, 32], [0, 7, "2", "x"]),
     "samples": ([8, 16, 64], [1, 12, "nan", "inf"]),
+    "encoding": (["utf-8"], ["utf-16"]),  # of the modulate/demodulate input
 }
 
 
@@ -333,7 +439,7 @@ def _fuzz_argv(draw, workdir):
         lines = [repr(x) for x in draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n))]
         if isinstance(v["samples"], str):
             lines[draw(st.integers(0, n - 1))] = v["samples"]
-    src.write_text("".join(f"{line}\n" for line in lines))
+    src.write_bytes("".join(f"{line}\n" for line in lines).encode(v["encoding"]))
     argv = [command, str(src), "--out", str(out), "--method", draw(st.sampled_from(["wm1", "wm2"])),
             f"--scales={v['scales']}", f"--taps={v['taps']}"]
     if command == "modulate":

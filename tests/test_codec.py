@@ -30,6 +30,30 @@ def test_non_binary_bits_rejected():
         MessageBlock(bits=np.array([0, 2])).symbols()
 
 
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.array([True, False]),
+        np.array([0, 1]),
+        np.array([0.0, 1.0]),
+        np.array([0.5, 1.0]),
+        np.array(["0", "1"]),
+        np.array([0, 1], dtype=object),
+        np.array(["0", 1], dtype=object),
+        np.array([None, 1], dtype=object),
+    ],
+    ids=repr,
+)
+def test_bit_check_matches_membership_test(bits):
+    """The bit check accepts exactly what np.isin(bits, (0, 1)) accepts."""
+    accepted = True
+    try:
+        MessageBlock(bits).symbols()
+    except ConfigurationError:
+        accepted = False
+    assert accepted == np.isin(bits, (0, 1)).all()
+
+
 def test_method1_two_scales():
     bits = np.array([1, 0, 0, 1])
     frame = place_method1(MessageBlock(bits), 2)

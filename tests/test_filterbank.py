@@ -173,3 +173,17 @@ def test_kernels_match_naive_reference(taps, n):
             synthesis_step(low, high, fp),
             naive_kernels.synthesis_step(low, high, fp.h, fp.g),
         )
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_empty_input_matches_naive_reference(taps):
+    """An empty input has nothing to wrap; both kernels return empty arrays."""
+    fp = make_daubechies(taps)
+    empty = np.zeros(0)
+    c, x = analysis_step(empty, fp)
+    c_ref, x_ref = naive_kernels.analysis_step(empty, fp.h, fp.g)
+    assert_bit_identical(c, c_ref)
+    assert_bit_identical(x, x_ref)
+    assert_bit_identical(
+        synthesis_step(empty, empty, fp), naive_kernels.synthesis_step(empty, empty, fp.h, fp.g)
+    )
