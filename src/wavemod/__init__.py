@@ -10,9 +10,9 @@ from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filters import FilterPair, make_daubechies, validate_filter_pair
 from wavemod.filterbank import (
     BACKEND,
-    SubbandFrame,
     analysis_step,
     analyze_pyramid,
+    level_slice,
     synthesis_step,
     synthesize_pyramid,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "NoiseSpec",
     "PlacementSpec",
     "ShapeError",
-    "SubbandFrame",
     "add_awgn",
     "analysis_step",
     "analyze_pyramid",
@@ -62,6 +61,7 @@ __all__ = [
     "ber_method2",
     "ber_pam",
     "detect_block",
+    "level_slice",
     "make_daubechies",
     "place_method1",
     "place_method2",

@@ -5,7 +5,7 @@ SNR throughout is per-copy: E0 / sigma^2, in dB as 10*log10(E0/sigma^2).
 """
 
 from dataclasses import dataclass, field
-from math import log10, sqrt
+from math import isfinite, log10, sqrt
 
 import numpy as np
 
@@ -118,6 +118,10 @@ class ExperimentConfig:
         object.__setattr__(self, "modem", modem)
         if len(self.snr_grid_db) == 0:
             raise ConfigurationError("snr_grid_db must be nonempty")
+        if not all(map(isfinite, self.snr_grid_db)):
+            raise ConfigurationError("SNR grid points must be finite")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.min_errors < 1:
             raise ConfigurationError("min_errors must be >= 1")
         if self.max_trials < 1:

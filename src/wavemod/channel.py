@@ -5,6 +5,7 @@ stream; calls are order-independent because every call derives a fresh
 generator from the pair.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ class NoiseSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigurationError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def noise_rng(spec: NoiseSpec) -> np.random.Generator:

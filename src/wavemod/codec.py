@@ -7,17 +7,17 @@ scale m carries every 2**(M-1-m)-th symbol, so a symbol's copy count is
 Method 2 ("wm2") repeats the whole L-symbol message periodically at every
 scale, giving each symbol exactly K = 2**M - 1 copies.
 
-Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
+Both return one frame laid out as filterbank.level_slice says, coarse
+branch zero. Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
 from wavemod.errors import ConfigurationError
-from wavemod.filterbank import SubbandFrame
 
 METHOD1 = "wm1"
 METHOD2 = "wm2"
@@ -33,8 +33,8 @@ class MessageBlock:
     def symbols(self) -> np.ndarray:
         """Antipodal map: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0)."""
         bits = np.asarray(self.bits)
-        if self.symbol_energy <= 0:
-            raise ConfigurationError(f"symbol energy must be > 0, got {self.symbol_energy}")
+        if not (isfinite(self.symbol_energy) and self.symbol_energy > 0):
+            raise ConfigurationError(f"symbol energy must be finite and > 0, got {self.symbol_energy}")
         if not ((bits == 0) | (bits == 1)).all():
             raise ConfigurationError("message bits must be 0 or 1")
         return (2.0 * bits - 1.0) * sqrt(self.symbol_energy)
@@ -96,26 +96,29 @@ class PlacementSpec:
         return self.base_length * 2**self.num_scales
 
 
-def place_method1(msg: MessageBlock, num_scales: int) -> SubbandFrame:
+def place_method1(msg: MessageBlock, num_scales: int) -> np.ndarray:
     """Decimation placement: scale m holds every 2**(M-1-m)-th symbol."""
     a = msg.symbols()
     spec = PlacementSpec.for_message(METHOD1, num_scales, len(a))
-    details = [a[:: 2 ** (num_scales - 1 - m)].copy() for m in range(num_scales)]
-    return SubbandFrame(details=details, coarse=np.zeros(spec.base_length))
+    decimated = [a[:: 2 ** (num_scales - 1 - m)] for m in range(num_scales)]
+    return np.concatenate([np.zeros(spec.base_length), *decimated])
 
 
-def place_method2(msg: MessageBlock, num_scales: int) -> SubbandFrame:
-    """Repetition placement: scale m holds 2**m periods of the message."""
+def place_method2(msg: MessageBlock, num_scales: int) -> np.ndarray:
+    """Repetition placement: scale m holds 2**m periods of the message, so
+    the levels together are 2**M - 1 back-to-back periods."""
     a = msg.symbols()
-    details = [np.tile(a, 2**m) for m in range(num_scales)]
-    return SubbandFrame(details=details, coarse=np.zeros(len(a)))
+    spec = PlacementSpec.for_message(METHOD2, num_scales, len(a))
+    frame = np.zeros(spec.num_samples)
+    frame[len(a) :].reshape(-1, len(a))[:] = a
+    return frame
 
 
-def _check_frame(frame: SubbandFrame, spec: PlacementSpec):
-    if frame.num_scales != spec.num_scales or frame.n0 != spec.base_length:
+def _check_frame(frame: np.ndarray, spec: PlacementSpec):
+    if len(frame) != spec.num_samples:
         raise ConfigurationError(
-            f"frame shape (M={frame.num_scales}, n0={frame.n0}) does not match "
-            f"spec (M={spec.num_scales}, n0={spec.base_length})"
+            f"frame length {len(frame)} does not match spec (M={spec.num_scales}, "
+            f"n0={spec.base_length}: {spec.num_samples})"
         )
 
 

@@ -9,19 +9,21 @@ decision, so the detector needs neither E0 nor sigma.
 import numpy as np
 
 from wavemod.codec import PlacementSpec, _check_frame, coefficient_symbol_map
-from wavemod.filterbank import SubbandFrame
+from wavemod.filterbank import level_slice
 
 
-def detect_block(frame: SubbandFrame, spec: PlacementSpec) -> np.ndarray:
+def detect_block(frame: np.ndarray, spec: PlacementSpec) -> np.ndarray:
     """Per-symbol ML decisions over a demodulated frame.
 
     Bit 1 iff the sum of the symbol's copies is > 0 (ties go to bit 0).
-    The copy sums are accumulated with one bincount pass per scale; the
-    per-symbol loop in tests/naive_detector.py is the reference.
+    The copy sums take one bincount pass per scale, added in scale order;
+    one pass over all scales would round differently. The per-symbol loop
+    in tests/naive_detector.py is the reference.
     """
     _check_frame(frame, spec)
     n_symbols = spec.message_length
     sums = np.zeros(n_symbols)
     for m, owners in enumerate(coefficient_symbol_map(spec)):
-        sums += np.bincount(owners, weights=frame.details[m], minlength=n_symbols)
+        level = frame[level_slice(spec.base_length, m)]
+        sums += np.bincount(owners, weights=level, minlength=n_symbols)
     return (sums > 0).astype(np.int64)

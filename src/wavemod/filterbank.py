@@ -11,8 +11,6 @@ zero-initialised accumulator in ascending tap order, which fixes the
 floating-point result bit for bit, sign of zero included.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from wavemod.errors import ShapeError
@@ -23,32 +21,14 @@ from wavemod.filters import FilterPair
 BACKEND = "python"
 
 
-@dataclass(frozen=True)
-class SubbandFrame:
-    """Per-scale detail sequences plus the coarse branch.
+def level_slice(n0: int, m: int) -> slice:
+    """Where detail level m sits in a frame whose coarse branch has n0 samples.
 
-    details[m] has length n0 * 2**m for m in 0..num_scales-1; coarse has
-    length n0. In modulation use the coarse branch is all zeros.
+    A frame at depth M is one array of n0 * 2**M coefficients, as long as
+    the block it synthesizes: the coarse branch in [0, n0), then detail
+    levels 0..M-1, level m in [n0 * 2**m, n0 * 2**(m+1)).
     """
-
-    details: list = field(default_factory=list)
-    coarse: np.ndarray = None
-
-    def __post_init__(self):
-        n0 = len(self.coarse)
-        for m, d in enumerate(self.details):
-            if len(d) != n0 * 2**m:
-                raise ShapeError(
-                    f"detail level {m} has length {len(d)}, expected {n0 * 2**m}"
-                )
-
-    @property
-    def n0(self) -> int:
-        return len(self.coarse)
-
-    @property
-    def num_scales(self) -> int:
-        return len(self.details)
+    return slice(n0 << m, n0 << (m + 1))
 
 
 def _as_float_array(seq) -> np.ndarray:
@@ -123,23 +103,30 @@ def synthesis_step(c, x, fp: FilterPair):
     return out
 
 
-def synthesize_pyramid(frame: SubbandFrame, fp: FilterPair) -> np.ndarray:
+def _base_length(n: int, num_scales: int) -> int:
+    """Coarse length n0 of an n-sample block or frame at depth num_scales."""
+    if n % 2**num_scales != 0:
+        raise ShapeError(f"block length {n} not divisible by 2^{num_scales}")
+    return n >> num_scales
+
+
+def synthesize_pyramid(frame, num_scales: int, fp: FilterPair) -> np.ndarray:
     """Run the inverse pyramid: coarse branch up through every detail level."""
-    c = _as_float_array(frame.coarse)
-    for m in range(frame.num_scales):
-        c = synthesis_step(c, frame.details[m], fp)
+    frame = _as_float_array(frame)
+    n0 = _base_length(len(frame), num_scales)
+    c = frame[:n0]
+    for m in range(num_scales):
+        c = synthesis_step(c, frame[level_slice(n0, m)], fp)
     return c
 
 
-def analyze_pyramid(samples, num_scales: int, fp: FilterPair) -> SubbandFrame:
-    """Run the forward pyramid, peeling one detail sequence per level."""
+def analyze_pyramid(samples, num_scales: int, fp: FilterPair) -> np.ndarray:
+    """Run the forward pyramid, peeling one detail level into the frame per step."""
     c = _as_float_array(samples)
-    if len(c) % 2**num_scales != 0:
-        raise ShapeError(
-            f"block length {len(c)} not divisible by 2^{num_scales}"
-        )
-    details = [None] * num_scales
+    n0 = _base_length(len(c), num_scales)
+    frame = np.empty(len(c))
     for m in reversed(range(num_scales)):
         c, x = analysis_step(c, fp)
-        details[m] = x
-    return SubbandFrame(details=details, coarse=c)
+        frame[level_slice(n0, m)] = x
+    frame[:n0] = c
+    return frame

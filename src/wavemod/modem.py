@@ -101,7 +101,7 @@ class Modem:
             frame = codec.place_method2(msg, self.num_scales)
         else:
             return msg.symbols()
-        return filterbank.synthesize_pyramid(frame, self.filter_pair)
+        return filterbank.synthesize_pyramid(frame, self.num_scales, self.filter_pair)
 
     def demodulate(self, samples) -> np.ndarray:
         """One frame of samples -> message_len detected bits (int64)."""

@@ -13,7 +13,7 @@ import numpy as np
 
 from wavemod.codec import PlacementSpec, _check_frame, coefficient_symbol_map
 from wavemod.errors import ConfigurationError
-from wavemod.filterbank import SubbandFrame
+from wavemod.filterbank import level_slice
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,14 @@ def ml_decide(obs: ObservationSet, symbol_energy: float, noise_var: float) -> De
     return Decision(bit=int(statistic > 0), statistic=statistic)
 
 
-def gather_observations(frame: SubbandFrame, spec: PlacementSpec):
+def gather_observations(frame: np.ndarray, spec: PlacementSpec):
     """Collect, per message symbol, every frame coefficient it was placed in."""
     _check_frame(frame, spec)
     copies = [[] for _ in range(spec.message_length)]
     for m, owners in enumerate(coefficient_symbol_map(spec)):
+        level = frame[level_slice(spec.base_length, m)]
         for pos, k in enumerate(owners):
-            copies[k].append(frame.details[m][pos])
+            copies[k].append(level[pos])
     return [
         ObservationSet(copies=np.array(c), symbol_index=k)
         for k, c in enumerate(copies)

@@ -153,6 +153,22 @@ def test_config_validation():
         ExperimentConfig("pam", 1, 64, 1.0, ())
 
 
+@pytest.mark.parametrize(
+    "grid, seed, message",
+    [
+        ((0.0, math.nan), 0, "finite"),
+        ((-math.inf, 0.0), 0, "finite"),
+        ((math.inf,), 0, "finite"),
+        ((0.0,), -1, "seed"),
+    ],
+)
+def test_config_rejects_bad_grid_and_seed(grid, seed, message):
+    # A negative seed used to fail in numpy's SeedSequence; a nan point gave
+    # nan theory and -inf a ZeroDivisionError.
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig("wm2", 2, 8, 1.0, grid, seed=seed)
+
+
 def test_snr_at_ber_inversion():
     snr_db = np.arange(0.0, 10.0, 1.0)
     ber = np.asarray(ber_pam(10 ** (snr_db / 10)), dtype=float)

@@ -46,3 +46,10 @@ def test_moments_at_scale():
 def test_negative_sigma_rejected():
     with pytest.raises(ConfigurationError, match="sigma"):
         NoiseSpec(sigma=-1.0, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_sigma_rejected(sigma):
+    # nan used to pass the check and give nan samples; inf gave +-inf ones.
+    with pytest.raises(ConfigurationError, match="finite"):
+        NoiseSpec(sigma=sigma, seed=0)

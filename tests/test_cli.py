@@ -223,6 +223,7 @@ def test_ber_sweep_config_file(tmp_path):
         (["--method", "pam,wm2", "--scales", "40"], "cap"),
         (["--snr-grid=0:1e8:1"], "SNR grid"),
         (["--snr-grid=0:1e300:1e-300"], "SNR grid"),
+        (["--seed=-1"], "seed"),
     ],
 )
 def test_ber_sweep_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
@@ -401,6 +402,7 @@ FUZZ_SETTINGS = {
     "snr_grid": (["0", "0,3", "-2:2:2"], ["nan", "4:0:1", "0:inf:1"]),
     "min_errors": ([1, 5], [0]),
     "max_trials": ([1, 2], [0]),
+    "seed": ([0, 7], [-1]),
     "bits": ([8, 16, 32], [0, 7, "2", "x"]),
     "samples": ([8, 16, 64], [1, 12, "nan", "inf"]),
     "encoding": (["utf-8"], ["utf-16"]),  # of the modulate/demodulate input
@@ -423,7 +425,8 @@ def _fuzz_argv(draw, workdir):
         out = workdir / "out.csv"
         argv = ["ber-sweep", "--method", v["methods"], "--out", str(out)]
         argv += [f"--{key.replace('_', '-')}={v[key]}" for key in (
-            "scales", "taps", "energy", "message_len", "snr_grid", "min_errors", "max_trials")]
+            "scales", "taps", "energy", "message_len", "snr_grid", "min_errors", "max_trials",
+            "seed")]
         if draw(st.booleans()):
             argv.append("--plot")
         return argv, [out, out.with_suffix(".svg")]

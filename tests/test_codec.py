@@ -14,6 +14,7 @@ from wavemod.codec import (
     place_method2,
 )
 from wavemod.errors import ConfigurationError
+from wavemod.filterbank import level_slice
 
 
 def symbols_of(bits, e0=1.0):
@@ -23,6 +24,13 @@ def symbols_of(bits, e0=1.0):
 def test_polarity():
     msg = MessageBlock(bits=np.array([1, 0]), symbol_energy=4.0)
     np.testing.assert_allclose(msg.symbols(), [2.0, -2.0])
+
+
+@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_bad_symbol_energy_rejected(energy):
+    # nan used to pass the check and give nan symbols.
+    with pytest.raises(ConfigurationError, match="symbol energy"):
+        MessageBlock(bits=np.array([1, 0]), symbol_energy=energy).symbols()
 
 
 def test_non_binary_bits_rejected():
@@ -58,25 +66,37 @@ def test_method1_two_scales():
     bits = np.array([1, 0, 0, 1])
     frame = place_method1(MessageBlock(bits), 2)
     s = symbols_of(bits)
-    np.testing.assert_allclose(frame.details[1], s)
-    np.testing.assert_allclose(frame.details[0], s[[0, 2]])
-    assert np.all(frame.coarse == 0.0)
+    np.testing.assert_allclose(frame[level_slice(2, 1)], s)
+    np.testing.assert_allclose(frame[level_slice(2, 0)], s[[0, 2]])
+    assert np.all(frame[:2] == 0.0)
 
 
 def test_method1_single_scale_verbatim():
     bits = np.array([1, 1, 0, 1, 0])
     frame = place_method1(MessageBlock(bits), 1)
-    np.testing.assert_allclose(frame.details[0], symbols_of(bits))
+    np.testing.assert_allclose(frame[level_slice(5, 0)], symbols_of(bits))
 
 
 def test_method1_three_scale_strides():
     bits = np.arange(8) % 2
     frame = place_method1(MessageBlock(bits), 3)
     s = symbols_of(bits)
-    assert [len(d) for d in frame.details] == [2, 4, 8]
-    np.testing.assert_allclose(frame.details[2], s)
-    np.testing.assert_allclose(frame.details[1], s[::2])
-    np.testing.assert_allclose(frame.details[0], s[::4])
+    details = [frame[level_slice(2, m)] for m in range(3)]
+    assert [len(d) for d in details] == [2, 4, 8]
+    np.testing.assert_allclose(details[2], s)
+    np.testing.assert_allclose(details[1], s[::2])
+    np.testing.assert_allclose(details[0], s[::4])
+
+
+@pytest.mark.parametrize("num_scales", [1, 3, 6])
+def test_method1_frame_matches_per_level_decimation(num_scales):
+    """The coarse zeros, then scale m = every 2**(M-1-m)-th symbol, built level by level."""
+    n0 = 3
+    bits = np.random.default_rng(num_scales).integers(0, 2, n0 * 2 ** (num_scales - 1))
+    a = symbols_of(bits)
+    details = [a[:: 2 ** (num_scales - 1 - m)].copy() for m in range(num_scales)]
+    expected = np.concatenate([np.zeros(n0), *details])
+    assert np.array_equal(place_method1(MessageBlock(bits), num_scales), expected)
 
 
 def test_method1_divisibility():
@@ -88,15 +108,25 @@ def test_method2_two_scales():
     bits = np.array([1, 0])
     frame = place_method2(MessageBlock(bits), 2)
     s = symbols_of(bits)
-    np.testing.assert_allclose(frame.details[0], s)
-    np.testing.assert_allclose(frame.details[1], np.tile(s, 2))
+    np.testing.assert_allclose(frame[level_slice(2, 0)], s)
+    np.testing.assert_allclose(frame[level_slice(2, 1)], np.tile(s, 2))
 
 
 def test_method2_degenerate_single_symbol():
     frame = place_method2(MessageBlock(np.array([1])), 3)
-    assert [len(d) for d in frame.details] == [1, 2, 4]
-    assert sum(len(d) for d in frame.details) == 2**3 - 1
-    assert all(np.all(d == 1.0) for d in frame.details)
+    details = [frame[level_slice(1, m)] for m in range(3)]
+    assert [len(d) for d in details] == [1, 2, 4]
+    assert sum(len(d) for d in details) == 2**3 - 1
+    assert all(np.all(d == 1.0) for d in details)
+
+
+@pytest.mark.parametrize("length,num_scales", [(1, 1), (3, 2), (5, 4), (7, 6)])
+def test_method2_frame_matches_tiled_levels(length, num_scales):
+    """The coarse zeros, then scale m = np.tile(message, 2**m) for m = 0..M-1."""
+    bits = np.random.default_rng(length).integers(0, 2, length)
+    a = symbols_of(bits, 2.5)
+    expected = np.concatenate([np.zeros(length)] + [np.tile(a, 2**m) for m in range(num_scales)])
+    assert np.array_equal(place_method2(MessageBlock(bits, 2.5), num_scales), expected)
 
 
 @pytest.mark.parametrize("length,num_scales", [(3, 2), (5, 4), (8, 3)])
@@ -139,8 +169,8 @@ def test_method2_frame_size_vs_method1_rate():
     num_scales, n0 = 4, 4
     m1 = place_method1(MessageBlock(np.zeros(n0 * 2 ** (num_scales - 1), dtype=int)), num_scales)
     m2 = place_method2(MessageBlock(np.zeros(n0, dtype=int)), num_scales)
-    total1 = sum(len(d) for d in m1.details)
-    total2 = sum(len(d) for d in m2.details)
+    total1 = len(m1) - n0
+    total2 = len(m2) - n0
     assert total1 == total2 == (2**num_scales - 1) * n0
 
 

@@ -15,7 +15,7 @@ from wavemod.codec import (
 )
 from wavemod.detector import detect_block
 from wavemod.errors import ConfigurationError
-from wavemod.filterbank import analyze_pyramid, synthesize_pyramid
+from wavemod.filterbank import analyze_pyramid, level_slice, synthesize_pyramid
 from wavemod.filters import make_daubechies
 
 
@@ -83,8 +83,8 @@ def test_noiseless_round_trip(method, place, msg_len, num_scales):
     bits = rng.integers(0, 2, msg_len)
     fp = make_daubechies(4)
     frame = place(MessageBlock(bits), num_scales)
-    base = frame.n0
-    block = synthesize_pyramid(frame, fp)
+    base = len(frame) >> num_scales
+    block = synthesize_pyramid(frame, num_scales, fp)
     back = analyze_pyramid(block, num_scales, fp)
     detected = detect_block(back, PlacementSpec(method, num_scales, base))
     assert np.array_equal(detected, bits)
@@ -96,10 +96,10 @@ def test_detect_block_matches_gather_plus_ml_decide():
     for method, place, msg_len in ((METHOD1, place_method1, 32), (METHOD2, place_method2, 8)):
         bits = rng.integers(0, 2, msg_len)
         frame = place(MessageBlock(bits), 4)
-        block = synthesize_pyramid(frame, fp)
+        block = synthesize_pyramid(frame, 4, fp)
         noisy = add_awgn(block, NoiseSpec(sigma=1.0, seed=99))
         back = analyze_pyramid(noisy, 4, fp)
-        spec = PlacementSpec(method, 4, frame.n0)
+        spec = PlacementSpec(method, 4, len(frame) >> 4)
         fast = detect_block(back, spec)
         slow = [ml_decide(o, 1.0, 1.0).bit for o in gather_observations(back, spec)]
         assert np.array_equal(fast, slow)
@@ -109,8 +109,8 @@ def test_single_scale_reduces_to_sign_detector():
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 16)
     frame = place_method1(MessageBlock(bits), 1)
-    noisy_details = frame.details[0] + rng.normal(0, 2.0, 16)
-    frame2 = type(frame)(details=[noisy_details], coarse=frame.coarse)
+    noisy_details = frame[level_slice(16, 0)] + rng.normal(0, 2.0, 16)
+    frame2 = np.concatenate([frame[:16], noisy_details])
     detected = detect_block(frame2, PlacementSpec(METHOD1, 1, 16))
     assert np.array_equal(detected, (noisy_details > 0).astype(int))
 
@@ -120,9 +120,16 @@ def test_one_corrupted_copy_out_of_seven_survives():
     # below (K-1)*sqrt(E0) cannot outvote six clean ones.
     bits = np.array([1])
     frame = place_method2(MessageBlock(bits), 3)
-    frame.details[2][3] = -5.9  # clean copies are +1 each
+    frame[level_slice(1, 2)][3] = -5.9  # clean copies are +1 each
     detected = detect_block(frame, PlacementSpec(METHOD2, 3, 1))
     assert detected[0] == 1
+
+
+@pytest.mark.parametrize("length", [0, 8, 15, 17, 32])
+def test_detect_block_rejects_wrong_frame_length(length):
+    # Method 2, M=3, n0=2 frames have 16 coefficients.
+    with pytest.raises(ConfigurationError, match="does not match"):
+        detect_block(np.zeros(length), PlacementSpec(METHOD2, 3, 2))
 
 
 def test_decision_fields():

@@ -6,9 +6,9 @@ import pytest
 
 from wavemod.errors import ShapeError
 from wavemod.filterbank import (
-    SubbandFrame,
     analysis_step,
     analyze_pyramid,
+    level_slice,
     synthesis_step,
     synthesize_pyramid,
 )
@@ -18,20 +18,28 @@ SQRT2 = math.sqrt(2.0)
 
 
 def random_frame(rng, n0, num_scales):
-    return SubbandFrame(
-        details=[rng.standard_normal(n0 * 2**m) for m in range(num_scales)],
-        coarse=rng.standard_normal(n0),
-    )
+    details = [rng.standard_normal(n0 * 2**m) for m in range(num_scales)]
+    return np.concatenate([rng.standard_normal(n0), *details])
 
 
 def frame_energy(frame):
-    return np.sum(frame.coarse**2) + sum(np.sum(d**2) for d in frame.details)
+    return np.sum(frame**2)
 
 
 def max_frame_diff(a, b):
-    diffs = [np.max(np.abs(a.coarse - b.coarse))]
-    diffs += [np.max(np.abs(x - y)) for x, y in zip(a.details, b.details)]
-    return max(diffs)
+    return np.max(np.abs(a - b))
+
+
+@pytest.mark.parametrize("n0", [1, 3, 16])
+@pytest.mark.parametrize("num_scales", [1, 2, 6])
+def test_level_slice_tiles_the_detail_region(n0, num_scales):
+    """Detail levels 0..M-1 cover [n0, n0 * 2**M) in order, no gap, no overlap."""
+    covered = []
+    for m in range(num_scales):
+        s = level_slice(n0, m)
+        assert s.stop - s.start == n0 * 2**m
+        covered += range(s.start, s.stop)
+    assert covered == list(range(n0, n0 * 2**num_scales))
 
 
 def test_haar_butterfly():
@@ -83,8 +91,8 @@ def test_pyramid_divisibility_rejected():
 
 def test_single_butterfly_pyramid():
     e0 = 4.0
-    frame = SubbandFrame(details=[np.array([math.sqrt(e0)])], coarse=np.array([0.0]))
-    block = synthesize_pyramid(frame, make_daubechies(2))
+    frame = np.array([0.0, math.sqrt(e0)])
+    block = synthesize_pyramid(frame, 1, make_daubechies(2))
     np.testing.assert_allclose(
         block, [math.sqrt(e0) / SQRT2, -math.sqrt(e0) / SQRT2], atol=1e-15
     )
@@ -92,14 +100,14 @@ def test_single_butterfly_pyramid():
 
 def test_haar_analysis_butterfly_pyramid():
     frame = analyze_pyramid(np.array([1.0, -1.0]), 1, make_daubechies(2))
-    np.testing.assert_allclose(frame.coarse, [0.0], atol=1e-15)
-    np.testing.assert_allclose(frame.details[0], [SQRT2], atol=1e-15)
+    np.testing.assert_allclose(frame[:1], [0.0], atol=1e-15)
+    np.testing.assert_allclose(frame[level_slice(1, 0)], [SQRT2], atol=1e-15)
 
 
 def test_zero_block_zero_frame():
     frame = analyze_pyramid(np.zeros(32), 3, make_daubechies(4))
-    assert np.all(frame.coarse == 0.0)
-    assert all(np.all(d == 0.0) for d in frame.details)
+    assert np.all(frame[:4] == 0.0)
+    assert all(np.all(frame[level_slice(4, m)] == 0.0) for m in range(3))
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
@@ -108,7 +116,7 @@ def test_pyramid_round_trip(taps, num_scales):
     rng = np.random.default_rng(taps * 100 + num_scales)
     fp = make_daubechies(taps)
     frame = random_frame(rng, 2, num_scales)
-    block = synthesize_pyramid(frame, fp)
+    block = synthesize_pyramid(frame, num_scales, fp)
     back = analyze_pyramid(block, num_scales, fp)
     assert max_frame_diff(frame, back) < 1e-10
 
@@ -118,7 +126,7 @@ def test_parseval(taps):
     rng = np.random.default_rng(taps)
     fp = make_daubechies(taps)
     frame = random_frame(rng, 4, 5)
-    block = synthesize_pyramid(frame, fp)
+    block = synthesize_pyramid(frame, 5, fp)
     energy = np.sum(block**2)
     assert abs(energy - frame_energy(frame)) < 1e-10 * energy
 
@@ -132,15 +140,14 @@ def test_linearity():
     fu = analyze_pyramid(u, 4, fp)
     fv = analyze_pyramid(v, 4, fp)
     for m in range(4):
-        np.testing.assert_allclose(
-            combined.details[m], a * fu.details[m] + b * fv.details[m], atol=1e-10
-        )
-    np.testing.assert_allclose(combined.coarse, a * fu.coarse + b * fv.coarse, atol=1e-10)
+        s = level_slice(4, m)
+        np.testing.assert_allclose(combined[s], a * fu[s] + b * fv[s], atol=1e-10)
+    np.testing.assert_allclose(combined[:4], a * fu[:4] + b * fv[:4], atol=1e-10)
 
 
 def test_frame_shape_validated():
-    with pytest.raises(ShapeError, match="detail level"):
-        SubbandFrame(details=[np.zeros(3)], coarse=np.zeros(2))
+    with pytest.raises(ShapeError, match="divisible"):
+        synthesize_pyramid(np.zeros(12), 3, make_daubechies(2))
 
 
 def assert_bit_identical(a, b):
