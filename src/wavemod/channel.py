@@ -26,7 +26,9 @@ class NoiseSpec:
             raise ConfigurationError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
-def noise_rng(spec: NoiseSpec) -> np.random.Generator:
+# Quoted: evaluating np.random here would import numpy.random with
+# wavemod, which the file modem never uses.
+def noise_rng(spec: NoiseSpec) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence([spec.seed, spec.stream_id]))
 
 
@@ -35,5 +37,9 @@ def add_awgn(samples: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if spec.sigma == 0.0:
         return samples.copy()
-    noise = noise_rng(spec).standard_normal(len(samples))
-    return samples + spec.sigma * noise
+    # One array: sigma * noise + s has the bits of s + sigma * noise,
+    # because IEEE addition is commutative.
+    out = noise_rng(spec).standard_normal(len(samples))
+    out *= spec.sigma
+    out += samples
+    return out

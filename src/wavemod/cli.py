@@ -150,9 +150,10 @@ def cmd_filters(args) -> int:
 
 def cmd_modulate(args) -> int:
     bits = np.array(_read_lines(Path(args.input), "bit", _parse_bit))
-    modem = Modem(args.method, args.scales, len(bits), args.taps, args.energy)
-    # %.17g round-trips every float64 exactly.
-    _write_lines(Path(args.out), "%.17g\n", modem.modulate(bits))
+    # The modem lives only inside this expression, so its work area is
+    # freed before the text is formatted. %.17g round-trips every float64.
+    samples = Modem(args.method, args.scales, len(bits), args.taps, args.energy).modulate(bits)
+    _write_lines(Path(args.out), "%.17g\n", samples)
     return EXIT_OK
 
 

@@ -9,7 +9,18 @@ slice of a cyclically padded copy of the input, so each tap is a few
 whole-array numpy operations. Every output sums its taps into a
 zero-initialised accumulator in ascending tap order, which fixes the
 floating-point result bit for bit, sign of zero included.
+
+Every kernel takes an optional work area, one float64 array that holds its
+padded copies and partial products; the pyramids size one for their
+largest level and every level reuses it, so a caller that keeps a work
+area per direction allocates no array as long as a level's input but
+the ones the calls return.
+Each step copies its input into the work area before it writes its
+output, so an output may overlap the input: the pyramids use the array
+they return as ping-pong space between levels.
 """
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,24 +57,62 @@ def _cyclic(v: np.ndarray, start: int, count: int) -> np.ndarray:
     return v[np.arange(start, start + count) % len(v)]
 
 
-def analysis_step(c_next, fp: FilterPair):
+def _split(work, lengths):
+    """Consecutive views of work with the given lengths; a fresh work area
+    when work is None."""
+    ends = list(accumulate(lengths))
+    if work is None:
+        work = np.empty(ends[-1])
+    elif len(work) < ends[-1]:
+        raise ShapeError(f"work area of {len(work)} samples, kernel needs {ends[-1]}")
+    return [work[end - n : end] for n, end in zip(lengths, ends)]
+
+
+def _analysis_lengths(n_in: int, taps: int):
+    # Cyclic extension of the input, one partial-product row.
+    return (n_in + taps - 2, n_in // 2)
+
+
+def _synthesis_lengths(n_low: int, taps: int):
+    # Padded coarse and detail inputs, two partial-product rows.
+    pad = taps // 2 - 1
+    return (pad + n_low, pad + n_low, n_low, n_low)
+
+
+def analysis_work(num_samples: int, fp: FilterPair) -> np.ndarray:
+    """A work area for analyzing blocks of up to num_samples samples."""
+    return np.empty(sum(_analysis_lengths(num_samples, len(fp.h))))
+
+
+def synthesis_work(num_samples: int, fp: FilterPair) -> np.ndarray:
+    """A work area for synthesizing blocks of up to num_samples samples."""
+    return np.empty(sum(_synthesis_lengths(num_samples // 2, len(fp.h))))
+
+
+def analysis_step(c_next, fp: FilterPair, work=None, out=None):
     """One pyramid level down: circular filter by h and g, decimate by 2.
 
     c(n) = sum_m h(m - 2n) c_next(m mod N), likewise x with g.
-    Returns (c, x), each of length N/2.
+    Returns (c, x), each of length N/2: the two halves of out (N samples,
+    fresh if not given; it may overlap c_next).
     """
     c_next = _as_float_array(c_next)
     n_in = len(c_next)
     if n_in % 2 != 0:
         raise ShapeError(f"analysis input length {n_in} is odd")
     half = n_in // 2
+    taps = len(fp.h)
+    ext, term = _split(work, _analysis_lengths(n_in, taps))
     # Output n reads c_next[2n + i] for taps i = 0..taps-1, so extending
     # the input cyclically by taps - 2 samples turns tap i into the stride-2
     # slice ext[i : i + n_in : 2].
-    ext = np.concatenate((c_next, _cyclic(c_next, 0, len(fp.h) - 2)))
-    c = np.zeros(half)
-    x = np.zeros(half)
-    term = np.empty(half)
+    ext[n_in:] = _cyclic(c_next, 0, taps - 2)
+    ext[:n_in] = c_next
+    if out is None:
+        out = np.empty(n_in)
+    out = out[:n_in]
+    out[...] = 0.0
+    c, x = out[:half], out[half:]
     for i, (h_i, g_i) in enumerate(zip(fp.h, fp.g)):
         v = ext[i : i + n_in : 2]
         c += np.multiply(h_i, v, out=term)
@@ -71,11 +120,13 @@ def analysis_step(c_next, fp: FilterPair):
     return c, x
 
 
-def synthesis_step(c, x, fp: FilterPair):
+def synthesis_step(c, x, fp: FilterPair, work=None, out=None):
     """One pyramid level up: upsample, filter, sum the two branches.
 
     c_next(m) = sum_n h(m - 2n) c(n) + sum_n g(m - 2n) x(n), indices
     modulo 2*len(c). Exact inverse of analysis_step for orthonormal fp.
+    Returns the first 2*len(c) samples of out (fresh if not given; it may
+    overlap c or x).
     """
     c = _as_float_array(c)
     x = _as_float_array(x)
@@ -83,16 +134,20 @@ def synthesis_step(c, x, fp: FilterPair):
     if n_low != len(x):
         raise ShapeError(f"coarse/detail length mismatch: {n_low} vs {len(x)}")
     taps = len(fp.h)
+    c_pad, x_pad, hc, gx = _split(work, _synthesis_lengths(n_low, taps))
     # Output 2j + p takes taps i = 2k + p (k = 0..taps/2-1) at input j - k.
     # Prepending the pad = taps/2 - 1 samples that cyclically precede
     # index 0 turns input j - k into the contiguous slice [pad - k, pad - k
     # + n_low) of the padded copy, one slice per tap and output parity.
     pad = taps // 2 - 1
-    c_pad = np.concatenate((_cyclic(c, -pad, pad), c))
-    x_pad = np.concatenate((_cyclic(x, -pad, pad), x))
-    out = np.zeros(2 * n_low)
-    hc = np.empty(n_low)
-    gx = np.empty(n_low)
+    c_pad[:pad] = _cyclic(c, -pad, pad)
+    c_pad[pad:] = c
+    x_pad[:pad] = _cyclic(x, -pad, pad)
+    x_pad[pad:] = x
+    if out is None:
+        out = np.empty(2 * n_low)
+    out = out[: 2 * n_low]
+    out[...] = 0.0
     for parity in (0, 1):
         acc = out[parity::2]
         for i in range(parity, taps, 2):
@@ -110,23 +165,37 @@ def _base_length(n: int, num_scales: int) -> int:
     return n >> num_scales
 
 
-def synthesize_pyramid(frame, num_scales: int, fp: FilterPair) -> np.ndarray:
-    """Run the inverse pyramid: coarse branch up through every detail level."""
+def synthesize_pyramid(frame, num_scales: int, fp: FilterPair, work=None) -> np.ndarray:
+    """Run the inverse pyramid: coarse branch up through every detail level.
+
+    work is a synthesis_work area for at least len(frame) samples, or None.
+    Level m writes its output into the first n0 * 2**(m+1) samples of the
+    returned array, which the next level reads as its coarse input.
+    """
     frame = _as_float_array(frame)
     n0 = _base_length(len(frame), num_scales)
-    c = frame[:n0]
+    if work is None:
+        work = synthesis_work(len(frame), fp)
+    out = np.empty(len(frame))
+    out[:n0] = frame[:n0]
     for m in range(num_scales):
-        c = synthesis_step(c, frame[level_slice(n0, m)], fp)
-    return c
+        synthesis_step(out[: n0 << m], frame[level_slice(n0, m)], fp, work, out)
+    return out
 
 
-def analyze_pyramid(samples, num_scales: int, fp: FilterPair) -> np.ndarray:
-    """Run the forward pyramid, peeling one detail level into the frame per step."""
+def analyze_pyramid(samples, num_scales: int, fp: FilterPair, work=None) -> np.ndarray:
+    """Run the forward pyramid, peeling one detail level into the frame per step.
+
+    work is an analysis_work area for at least len(samples) samples, or
+    None. Level m writes its coarse output into frame[:n0 * 2**m], which
+    the next level reads, and its detail straight into level_slice(n0, m).
+    """
     c = _as_float_array(samples)
     n0 = _base_length(len(c), num_scales)
+    if work is None:
+        work = analysis_work(len(c), fp)
     frame = np.empty(len(c))
     for m in reversed(range(num_scales)):
-        c, x = analysis_step(c, fp)
-        frame[level_slice(n0, m)] = x
+        c, _ = analysis_step(c, fp, work, frame[: n0 << (m + 1)])
     frame[:n0] = c
     return frame

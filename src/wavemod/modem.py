@@ -8,6 +8,7 @@ baseline, sends antipodal symbols and decides on their signs.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,11 @@ _MAX_SCALES = MAX_FRAME_SAMPLES.bit_length() - 1
 @dataclass(frozen=True)
 class Modem:
     """One modulate/demodulate chain: method, scale count, message length,
-    filter taps and per-copy symbol energy E0. PAM ignores scales and taps."""
+    filter taps and per-copy symbol energy E0. PAM ignores scales and taps.
+
+    A modem owns the pyramid work areas that every block reuses, built on
+    first use of each direction, so one Modem is not for concurrent use.
+    """
 
     method: str
     num_scales: int
@@ -91,7 +96,7 @@ class Modem:
         return cls(method, num_scales, message_len, taps)
 
     def modulate(self, bits) -> np.ndarray:
-        """message_len bits (0 or 1) -> one frame of samples."""
+        """message_len bits (0 or 1) -> one frame of samples, a new array."""
         if len(bits) != self.message_len:
             raise ShapeError(f"message has {len(bits)} bits, expected {self.message_len}")
         msg = codec.MessageBlock(bits, self.symbol_energy)
@@ -101,7 +106,9 @@ class Modem:
             frame = codec.place_method2(msg, self.num_scales)
         else:
             return msg.symbols()
-        return filterbank.synthesize_pyramid(frame, self.num_scales, self.filter_pair)
+        return filterbank.synthesize_pyramid(
+            frame, self.num_scales, self.filter_pair, self._synthesis_work
+        )
 
     def demodulate(self, samples) -> np.ndarray:
         """One frame of samples -> message_len detected bits (int64)."""
@@ -109,5 +116,15 @@ class Modem:
             raise ShapeError(f"frame has {len(samples)} samples, expected {self.num_samples}")
         if self.spec is None:
             return (np.asarray(samples) > 0).astype(np.int64)
-        frame = filterbank.analyze_pyramid(samples, self.num_scales, self.filter_pair)
+        frame = filterbank.analyze_pyramid(
+            samples, self.num_scales, self.filter_pair, self._analysis_work
+        )
         return detector.detect_block(frame, self.spec)
+
+    @cached_property
+    def _synthesis_work(self) -> np.ndarray:
+        return filterbank.synthesis_work(self.num_samples, self.filter_pair)
+
+    @cached_property
+    def _analysis_work(self) -> np.ndarray:
+        return filterbank.analysis_work(self.num_samples, self.filter_pair)

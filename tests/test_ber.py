@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfc
+
+import wavemod
 
 from wavemod.ber import (
     ExperimentConfig,
@@ -46,6 +53,48 @@ def test_q_against_quadrature():
 
 def test_q_of_one_frozen():
     assert abs(float(q_function(1.0)) - 0.15865525393145705) < 1e-14
+
+
+def scipy_q(x):
+    """The scipy formula q_function ports: 0.5 * erfc(x / sqrt(2))."""
+    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+
+
+def q_test_points():
+    """Seeded points over [-40, 40], the float neighbours of the erfc
+    branch points 1 and 8 and of its underflow edge near 26.55 (Q's
+    argument is sqrt(2) times erfc's), and the special values."""
+    rng = np.random.default_rng(20261018)
+    points = [rng.uniform(-40.0, 40.0, 100_000)]
+    for edge in (1.0, 8.0, 26.5, 26.55, 26.6, 26.65):
+        for centre in (edge, edge * math.sqrt(2.0)):
+            for sign in (1.0, -1.0):
+                up = down = np.array([sign * centre])
+                for _ in range(100):
+                    up = np.nextafter(up, np.inf)
+                    down = np.nextafter(down, -np.inf)
+                    points += [up, down]
+    points.append(np.linspace(26.5, 26.7, 2001) * math.sqrt(2.0))
+    points.append(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]))
+    return np.concatenate(points)
+
+
+def assert_same_float64(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_q_function_matches_scipy_erfc_bit_for_bit():
+    x = q_test_points()
+    assert len(x) > 100_000
+    assert_same_float64(q_function(x), scipy_q(x))
+    for value in (0.3, -2.0, 8.0 * math.sqrt(2.0), 40.0, math.nan, 3, np.float64(1.5)):
+        assert_same_float64(q_function(value), scipy_q(value))
+    for arr in (np.array(0.7), np.array([-1.0, 0.0, 1.0]), x[:12].reshape(3, 4), np.zeros((2, 0))):
+        assert_same_float64(q_function(arr), scipy_q(arr))
 
 
 def test_method1_ideal_reduces_to_pam():
@@ -167,6 +216,68 @@ def test_config_rejects_bad_grid_and_seed(grid, seed, message):
     # nan theory and -inf a ZeroDivisionError.
     with pytest.raises(ConfigurationError, match=message):
         ExperimentConfig("wm2", 2, 8, 1.0, grid, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", 1.5),
+        ("seed", True),
+        ("min_errors", 1.5),
+        ("min_errors", True),
+        ("max_trials", 2.5),
+        ("max_trials", np.float64(3.0)),
+    ],
+)
+def test_config_rejects_non_integer_counts(field, value):
+    # seed=1.5 used to fail inside numpy's SeedSequence, and min_errors=1.5
+    # with max_trials=2.5 ran 3 blocks.
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        ExperimentConfig("wm2", 2, 8, 1.0, (0.0,), **{field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = ExperimentConfig(
+        "wm2", 2, 8, 1.0, (0.0,), min_errors=np.int64(1), max_trials=np.int32(2),
+        seed=np.uint8(3),
+    )
+    assert len(run_monte_carlo(cfg)) == 1
+
+
+def test_block_chain_does_not_fault_after_heap_history():
+    """A wm2 block takes no fresh pages after a file-modem session.
+
+    The process first runs file-modem round trips, as a CLI session
+    would, then a warm-up sweep; a second sweep must not page-fault its
+    working arrays afresh on every block. Without scipy imported (the
+    theory needs none), fresh per-level kernel arrays used to cost over
+    400 minor faults per block here.
+    """
+    code = """
+import resource, sys
+import numpy as np
+from wavemod.ber import ExperimentConfig, run_monte_carlo
+from wavemod.modem import Modem
+rng = np.random.default_rng(0)
+for _ in range(20):
+    bits = rng.integers(0, 2, 512)
+    samples = Modem("wm2", 6, 512, 4, 2.5).modulate(bits)
+    assert (Modem.for_samples("wm2", 6, len(samples), 4).demodulate(samples) == bits).all()
+cfg = ExperimentConfig("wm2", 6, 512, 1.0, (-12.0, -9.0), min_errors=100, max_trials=10)
+run_monte_carlo(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+blocks = sum(p.trials for p in run_monte_carlo(cfg)) // 512
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print("scipy" in sys.modules, blocks, faults / blocks)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    scipy_loaded, blocks, faults_per_block = done.stdout.split()
+    assert int(blocks) >= 10
+    assert float(faults_per_block) <= 5.0
+    assert scipy_loaded == "False"
 
 
 def test_snr_at_ber_inversion():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wavemod.channel import NoiseSpec, add_awgn
+from wavemod.channel import NoiseSpec, add_awgn, noise_rng
 from wavemod.errors import ConfigurationError
 
 
@@ -17,6 +17,16 @@ def test_determinism_per_stream():
     a = add_awgn(block, spec)
     b = add_awgn(block, spec)
     assert np.array_equal(a, b)
+
+
+def test_noise_is_scaled_then_added_bit_for_bit():
+    block = np.random.default_rng(3).standard_normal(257)
+    block[::5] = -0.0
+    spec = NoiseSpec(sigma=0.3, seed=5, stream_id=9)
+    expected = block + spec.sigma * noise_rng(spec).standard_normal(len(block))
+    out = add_awgn(block, spec)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 def test_streams_are_distinct():

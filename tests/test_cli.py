@@ -340,21 +340,37 @@ def test_read_lines_matches_per_line_reader(tmp_path, text, parse):
     assert expected  # every case gives values or an error message
 
 
-def test_file_modem_does_not_import_scipy(tmp_path):
-    write_bits(tmp_path / "bits.txt", [0, 1] * 16)
+def run_cli_reporting_modules(tmp_path, argvs, modules):
+    """Run main(argv) for each argv in a fresh process; -> whether each
+    module was imported by the end, as "True"/"False" strings."""
     code = (
-        "import sys; import wavemod.cli as c; "
-        "a = ['--method', 'wm2', '--scales', '2']; "
-        "assert c.main(['modulate', 'bits.txt', '--out', 's.txt', *a]) == 0; "
-        "assert c.main(['demodulate', 's.txt', '--out', 'b.txt', *a]) == 0; "
-        "print('scipy' in sys.modules)"
+        "import sys; import wavemod.cli as c\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert c.main(argv) == 0\n"
+        f"print(*(m in sys.modules for m in {modules!r}))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_file_modem_does_not_import_scipy(tmp_path):
+    write_bits(tmp_path / "bits.txt", [0, 1] * 16)
+    a = ["--method", "wm2", "--scales", "2"]
+    argvs = [["modulate", "bits.txt", "--out", "s.txt", *a],
+             ["demodulate", "s.txt", "--out", "b.txt", *a]]
+    assert run_cli_reporting_modules(tmp_path, argvs, ["scipy", "numpy.random"]) == ["False"] * 2
     assert (tmp_path / "b.txt").read_text() == (tmp_path / "bits.txt").read_text()
+
+
+def test_ber_sweep_does_not_import_scipy(tmp_path):
+    argv = ["ber-sweep", "--method", "wm1,wm2,pam", "--scales", "2", "--message-len", "8",
+            "--snr-grid", "0,3", "--min-errors", "5", "--max-trials", "5", "--out", "ber.csv",
+            "--plot"]
+    assert run_cli_reporting_modules(tmp_path, [argv], ["scipy"]) == ["False"]
+    assert len((tmp_path / "ber.csv").read_text().splitlines()) == 1 + 3 * 2
 
 
 @pytest.mark.parametrize("command", ["modulate", "demodulate", "ber-sweep"])

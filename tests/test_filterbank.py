@@ -7,9 +7,11 @@ import pytest
 from wavemod.errors import ShapeError
 from wavemod.filterbank import (
     analysis_step,
+    analysis_work,
     analyze_pyramid,
     level_slice,
     synthesis_step,
+    synthesis_work,
     synthesize_pyramid,
 )
 from wavemod.filters import make_daubechies
@@ -194,3 +196,45 @@ def test_empty_input_matches_naive_reference(taps):
     assert_bit_identical(
         synthesis_step(empty, empty, fp), naive_kernels.synthesis_step(empty, empty, fp.h, fp.g)
     )
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_pyramids_with_a_work_area_match_fresh_ones(taps):
+    """One work area per direction, sized for the largest frame and dirty
+    from earlier calls, gives the bytes of a fresh one, sign of zero too."""
+    fp = make_daubechies(taps)
+    rng = np.random.default_rng(taps)
+    syn_work = synthesis_work(1024, fp)
+    ana_work = analysis_work(1024, fp)
+    syn_work[:] = np.nan
+    ana_work[:] = np.nan
+    for n0, num_scales in ((1, 1), (2, 3), (1, 10), (16, 6), (3, 2)):
+        frame = random_frame(rng, n0, num_scales)
+        frame[: n0 * 2 ** (num_scales - 1)] = -0.0
+        frame[::3] = 0.0
+        block = synthesize_pyramid(frame, num_scales, fp)
+        assert_bit_identical(synthesize_pyramid(frame, num_scales, fp, syn_work), block)
+        for samples in (block, np.zeros_like(block), -np.zeros_like(block)):
+            assert_bit_identical(
+                analyze_pyramid(samples, num_scales, fp, ana_work),
+                analyze_pyramid(samples, num_scales, fp),
+            )
+
+
+def test_pyramids_leave_their_input_unchanged():
+    fp = make_daubechies(8)
+    frame = random_frame(np.random.default_rng(9), 2, 4)
+    kept = frame.copy()
+    block = synthesize_pyramid(frame, 4, fp, synthesis_work(len(frame), fp))
+    assert_bit_identical(frame, kept)
+    kept = block.copy()
+    analyze_pyramid(block, 4, fp, analysis_work(len(block), fp))
+    assert_bit_identical(block, kept)
+
+
+def test_short_work_area_rejected():
+    fp = make_daubechies(4)
+    with pytest.raises(ShapeError, match="work area"):
+        synthesize_pyramid(np.zeros(64), 3, fp, synthesis_work(32, fp))
+    with pytest.raises(ShapeError, match="work area"):
+        analyze_pyramid(np.zeros(64), 3, fp, analysis_work(32, fp))

@@ -22,6 +22,21 @@ def test_noiseless_round_trip(method, taps):
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_results_do_not_share_the_modems_work_area(method):
+    modem = Modem(method, 4, message_len_for(method, 4))
+    rng = np.random.default_rng(7)
+    bits_a, bits_b = rng.integers(0, 2, (2, modem.message_len))
+    samples_a = modem.modulate(bits_a)
+    kept = samples_a.copy()
+    samples_b = modem.modulate(bits_b)
+    assert np.array_equal(samples_a, kept)
+    detected_a = modem.demodulate(samples_a)
+    modem.demodulate(samples_b)
+    assert np.array_equal(detected_a, bits_a)
+    assert np.array_equal(samples_a, kept)
+
+
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("num_scales", [1, 3, 6])
 def test_for_samples_inverts_frame_length(method, num_scales):
     modem = Modem(method, num_scales, message_len_for(method, num_scales), taps=6)
