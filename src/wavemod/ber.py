@@ -4,8 +4,14 @@ full modulate/channel/demodulate/detect chain against them.
 SNR throughout is per-copy: E0 / sigma^2, in dB as 10*log10(E0/sigma^2).
 """
 
+import atexit
+import os
+import pickle
+import signal
+import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
-from math import exp, isfinite, isnan, log10, sqrt
+from math import ceil, exp, isfinite, isnan, log10, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -231,42 +237,232 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[BerPoint]:
     blocks have been sent. Deterministic for a fixed seed: every block
     draws its bits and noise from substreams keyed by (seed, point index,
     block index), so the result is independent of execution order.
-    """
-    modem = cfg.modem
-    points = []
-    for pt, snr_db in enumerate(cfg.snr_grid_db):
-        snr = 10.0 ** (snr_db / 10.0)
-        theory = float(ber_theory(cfg.method, cfg.num_scales, snr))
-        sigma = sqrt(cfg.symbol_energy / snr)
-        errors = 0
-        blocks = 0
-        while errors < cfg.min_errors and blocks < cfg.max_trials:
-            bit_rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, _MESSAGE_TAG, pt, blocks])
-            )
-            bits = bit_rng.integers(0, 2, cfg.message_len)
-            nspec = NoiseSpec(sigma=sigma, seed=cfg.seed, stream_id=_stream_id(pt, blocks))
-            detected = modem.demodulate(add_awgn(modem.modulate(bits), nspec))
-            errors += int(np.sum(detected != bits))
-            blocks += 1
 
-        trials = blocks * cfg.message_len
-        ideal = (
-            float(ber_method1_ideal(cfg.num_scales, snr))
-            if cfg.method == METHOD1
-            else None
+    The points are spread over the CPUs this process may run on (its
+    affinity mask): this process runs one share and forked helper
+    processes, kept for later calls, run the others. Every result is the
+    same for any CPU count. With one CPU, or with another thread alive
+    (forking a threaded process can deadlock the child), nothing is forked.
+    """
+    workers = min(len(cfg.snr_grid_db), _usable_cpus())
+    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _run_shared(cfg, _shares(cfg, workers))
+    return [_run_point(cfg, pt) for pt in range(len(cfg.snr_grid_db))]
+
+
+def _run_point(cfg: ExperimentConfig, pt: int) -> BerPoint:
+    """One grid point of run_monte_carlo: blocks until its stop rule."""
+    modem = cfg.modem
+    snr_db = cfg.snr_grid_db[pt]
+    snr = 10.0 ** (snr_db / 10.0)
+    theory = float(ber_theory(cfg.method, cfg.num_scales, snr))
+    sigma = sqrt(cfg.symbol_energy / snr)
+    errors = 0
+    blocks = 0
+    while errors < cfg.min_errors and blocks < cfg.max_trials:
+        bit_rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, _MESSAGE_TAG, pt, blocks])
         )
-        points.append(
-            BerPoint(
-                snr_db=snr_db,
-                ber_theory=theory,
-                ber_sim=errors / trials,
-                trials=trials,
-                errors=errors,
-                ber_theory_ideal=ideal,
-            )
-        )
-    return points
+        bits = bit_rng.integers(0, 2, cfg.message_len)
+        nspec = NoiseSpec(sigma=sigma, seed=cfg.seed, stream_id=_stream_id(pt, blocks))
+        detected = modem.demodulate(add_awgn(modem.modulate(bits), nspec))
+        errors += int(np.sum(detected != bits))
+        blocks += 1
+
+    trials = blocks * cfg.message_len
+    ideal = (
+        float(ber_method1_ideal(cfg.num_scales, snr))
+        if cfg.method == METHOD1
+        else None
+    )
+    return BerPoint(
+        snr_db=snr_db,
+        ber_theory=theory,
+        ber_sim=errors / trials,
+        trials=trials,
+        errors=errors,
+        ber_theory_ideal=ideal,
+    )
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return 1
+
+
+def _predicted_blocks(cfg: ExperimentConfig, pt: int) -> int:
+    """Blocks the stop rule is expected to send at a point: enough for
+    min_errors errors at the theory BER, at most max_trials. It only
+    steers the schedule."""
+    snr = 10.0 ** (cfg.snr_grid_db[pt] / 10.0)
+    errors_per_block = float(ber_theory(cfg.method, cfg.num_scales, snr)) * cfg.message_len
+    if errors_per_block * cfg.max_trials <= cfg.min_errors:
+        return cfg.max_trials
+    return ceil(cfg.min_errors / errors_per_block)
+
+
+def _shares(cfg: ExperimentConfig, workers: int) -> list[list[int]]:
+    """Split the point indices into `workers` shares of about equal
+    predicted blocks: longest point first, each to the lightest share.
+    With workers <= points, every share gets at least one point."""
+    cost = [_predicted_blocks(cfg, pt) for pt in range(len(cfg.snr_grid_db))]
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for pt in sorted(range(len(cost)), key=lambda pt: -cost[pt]):
+        k = loads.index(min(loads))
+        shares[k].append(pt)
+        loads[k] += cost[pt]
+    return shares
+
+
+def _run_shared(cfg: ExperimentConfig, shares: list[list[int]]) -> list[BerPoint]:
+    """Run shares[0] here and each other share on a helper.
+
+    A helper's exception is raised here. A helper that has died, or that
+    could not be forked, has its share run here instead. Any exception
+    here stops every helper, so no later call can read a stale reply.
+    """
+    helpers = _ready_helpers(len(shares) - 1)
+    points = {}
+    try:
+        sent, local = [], list(shares[0])
+        for k, share in enumerate(shares[1:]):
+            if k < len(helpers) and helpers[k].send((cfg, share)):
+                sent.append((helpers[k], share))
+            else:
+                local += share
+        for pt in local:
+            points[pt] = _run_point(cfg, pt)
+        for helper, share in sent:
+            reply = helper.receive()
+            if reply is None:
+                reply = [(pt, _run_point(cfg, pt)) for pt in share]
+            elif isinstance(reply, BaseException):
+                raise reply
+            points.update(reply)
+    except BaseException:
+        _stop_helpers()
+        raise
+    return [points[pt] for pt in range(len(cfg.snr_grid_db))]
+
+
+class _Helper:
+    """A forked process that runs shares of SNR points for the process
+    that forked it, over one pipe each way, until its request pipe closes.
+    It ignores SIGINT: an interrupt reaches the owner, which kills it.
+    A helper found dead is dropped from _helpers and reaped."""
+
+    def __init__(self):
+        request_r, request_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (request_r, request_w, reply_r, reply_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(request_w)
+                os.close(reply_r)
+                _serve(os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(request_r)
+        os.close(reply_w)
+        self.pid = pid
+        self.requests = os.fdopen(request_w, "wb")
+        self.replies = os.fdopen(reply_r, "rb")
+
+    def send(self, request) -> bool:
+        """False if the helper has died."""
+        try:
+            self.requests.write(pickle.dumps(request))
+            self.requests.flush()
+        except BrokenPipeError:
+            self._drop()
+            return False
+        return True
+
+    def receive(self):
+        """The reply to the last request: [(point index, BerPoint)] or the
+        exception it raised; None if the helper died first."""
+        try:
+            return pickle.load(self.replies)
+        except (EOFError, pickle.UnpicklingError):
+            self._drop()
+            return None
+
+    def close_pipes(self):
+        for pipe in (self.requests, self.replies):
+            with suppress(OSError):
+                pipe.close()
+
+    def close(self):
+        """Kill the process, close the pipes and reap it."""
+        with suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)
+        self.close_pipes()
+        with suppress(ChildProcessError):  # reaped already (SIGCHLD ignored)
+            os.waitpid(self.pid, 0)
+
+    def _drop(self):
+        _helpers.remove(self)
+        self.close()
+
+
+def _serve(requests, replies):
+    """A helper's loop. A reply that cannot be pickled ends the helper, and
+    the owner then runs that share itself."""
+    while True:
+        try:
+            cfg, share = pickle.load(requests)
+        except EOFError:
+            return
+        try:
+            reply = [(pt, _run_point(cfg, pt)) for pt in share]
+        except Exception as exc:
+            reply = exc
+        replies.write(pickle.dumps(reply))
+        replies.flush()
+        del cfg, reply  # an idle helper keeps no modem work areas alive
+
+
+# The helpers of this process, forked on its first parallel call and kept
+# for later ones; stopped at exit. A forked child forgets its parent's
+# helpers, closing its copies of their pipes so that they still see the
+# end of input when the parent exits, and forks its own.
+_helpers: list[_Helper] = []
+
+
+def _ready_helpers(count: int) -> list[_Helper]:
+    """Up to count helpers, forking the missing ones; fewer if a fork fails."""
+    try:
+        while len(_helpers) < count:
+            _helpers.append(_Helper())
+    except OSError:
+        pass
+    return _helpers[:count]
+
+
+def _stop_helpers():
+    while _helpers:
+        _helpers.pop().close()
+
+
+def _forget_helpers():
+    while _helpers:
+        _helpers.pop().close_pipes()
+
+
+atexit.register(_stop_helpers)
+if hasattr(os, "fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def snr_at_ber(snr_db, ber, target: float) -> float:

@@ -12,7 +12,6 @@ branch zero. Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite, sqrt
 
 import numpy as np
@@ -122,12 +121,12 @@ def _check_frame(frame: np.ndarray, spec: PlacementSpec):
         )
 
 
-@lru_cache(maxsize=16)
 def coefficient_symbol_map(spec: PlacementSpec) -> tuple[np.ndarray, ...]:
     """Per scale, the message-symbol index that owns each detail coefficient.
 
-    Cached per spec, since every block of a run uses the same map; the
-    arrays are read-only because every caller shares them.
+    The arrays together are as long as a frame, so a Modem builds them once
+    and passes them to each block; they are read-only because blocks share
+    them.
     """
     out = []
     for m in range(spec.num_scales):

@@ -12,8 +12,10 @@ from wavemod.codec import PlacementSpec, _check_frame, coefficient_symbol_map
 from wavemod.filterbank import level_slice
 
 
-def detect_block(frame: np.ndarray, spec: PlacementSpec) -> np.ndarray:
+def detect_block(frame: np.ndarray, spec: PlacementSpec, owners=None) -> np.ndarray:
     """Per-symbol ML decisions over a demodulated frame.
+
+    owners is coefficient_symbol_map(spec), computed when not given.
 
     Bit 1 iff the sum of the symbol's copies is > 0 (ties go to bit 0).
     The copy sums take one bincount pass per scale, added in scale order;
@@ -23,7 +25,9 @@ def detect_block(frame: np.ndarray, spec: PlacementSpec) -> np.ndarray:
     _check_frame(frame, spec)
     n_symbols = spec.message_length
     sums = np.zeros(n_symbols)
-    for m, owners in enumerate(coefficient_symbol_map(spec)):
+    if owners is None:
+        owners = coefficient_symbol_map(spec)
+    for m, level_owners in enumerate(owners):
         level = frame[level_slice(spec.base_length, m)]
-        sums += np.bincount(owners, weights=level, minlength=n_symbols)
+        sums += np.bincount(level_owners, weights=level, minlength=n_symbols)
     return (sums > 0).astype(np.int64)

@@ -36,8 +36,10 @@ class Modem:
     """One modulate/demodulate chain: method, scale count, message length,
     filter taps and per-copy symbol energy E0. PAM ignores scales and taps.
 
-    A modem owns the pyramid work areas that every block reuses, built on
-    first use of each direction, so one Modem is not for concurrent use.
+    A modem owns the pyramid work areas and the detector's symbol map
+    that every block reuses, built on first use, so one Modem is not for
+    concurrent use. Pickling keeps only the constructor fields: the copy
+    builds its own work areas.
     """
 
     method: str
@@ -80,6 +82,11 @@ class Modem:
         object.__setattr__(self, "filter_pair", fp)
         object.__setattr__(self, "num_samples", num_samples)
 
+    def __reduce__(self):
+        return type(self), (
+            self.method, self.num_scales, self.message_len, self.taps, self.symbol_energy
+        )
+
     @classmethod
     def for_samples(cls, method: str, num_scales: int, num_samples: int, taps: int = 4):
         """The modem whose frames have num_samples samples.
@@ -119,7 +126,7 @@ class Modem:
         frame = filterbank.analyze_pyramid(
             samples, self.num_scales, self.filter_pair, self._analysis_work
         )
-        return detector.detect_block(frame, self.spec)
+        return detector.detect_block(frame, self.spec, self._symbol_map)
 
     @cached_property
     def _synthesis_work(self) -> np.ndarray:
@@ -128,3 +135,7 @@ class Modem:
     @cached_property
     def _analysis_work(self) -> np.ndarray:
         return filterbank.analysis_work(self.num_samples, self.filter_pair)
+
+    @cached_property
+    def _symbol_map(self) -> tuple[np.ndarray, ...]:
+        return codec.coefficient_symbol_map(self.spec)

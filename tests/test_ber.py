@@ -1,7 +1,10 @@
 import math
 import os
+import pickle
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import wavemod
+import wavemod.ber as ber
 
 from wavemod.ber import (
     ExperimentConfig,
@@ -288,3 +292,187 @@ def test_snr_at_ber_inversion():
     assert abs(est - 4.3237) < 0.1
     with pytest.raises(ConfigurationError, match="bracketed"):
         snr_at_ber(snr_db, ber, 0.4)
+
+
+def test_pickled_config_carries_no_work_areas():
+    cfg = ExperimentConfig("wm2", 6, 512, 1.0, (-12.0, -9.0), min_errors=50, max_trials=3)
+    points = run_monte_carlo(cfg)
+    data = pickle.dumps(cfg)
+    assert len(data) < 2048  # about 918 kB while the modem pickled its work areas
+    assert run_monte_carlo(pickle.loads(data)) == points
+
+
+@pytest.fixture
+def fresh_helpers():
+    """No helper processes before or after the test, so helpers forked
+    under a monkeypatch never serve another test."""
+    ber._stop_helpers()
+    yield
+    ber._stop_helpers()
+
+
+def use_workers(monkeypatch, count):
+    monkeypatch.setattr(ber, "_usable_cpus", lambda: count)
+
+
+# Each grid has points that stop on min_errors and points that stop on
+# max_trials (checked in test_points_do_not_depend_on_worker_count).
+PARALLEL_CONFIGS = {
+    "wm1": ExperimentConfig("wm1", 3, 16, 1.0, (-2.0, 1.0, 4.0, 7.0, 10.0),
+                            min_errors=20, max_trials=25, seed=5),
+    "wm2": ExperimentConfig("wm2", 2, 16, 1.0, (-6.0, -3.0, 0.0, 3.0),
+                            min_errors=20, max_trials=25, seed=6),
+    "pam": ExperimentConfig("pam", 1, 32, 1.0, (0.0, 3.0, 6.0, 9.0),
+                            min_errors=20, max_trials=25, seed=7),
+}
+
+
+def sequential_points(monkeypatch, cfg):
+    use_workers(monkeypatch, 1)
+    points = run_monte_carlo(cfg)
+    assert ber._helpers == []
+    return points
+
+
+@pytest.mark.parametrize("method", sorted(PARALLEL_CONFIGS))
+def test_points_do_not_depend_on_worker_count(monkeypatch, fresh_helpers, method):
+    cfg = PARALLEL_CONFIGS[method]
+    want = sequential_points(monkeypatch, cfg)
+    assert any(p.errors >= cfg.min_errors for p in want)
+    assert any(p.trials == cfg.max_trials * cfg.message_len and p.errors < cfg.min_errors
+               for p in want)
+    for workers in (2, 3, len(cfg.snr_grid_db) + 2):
+        use_workers(monkeypatch, workers)
+        assert run_monte_carlo(cfg) == want
+        assert len(ber._helpers) == min(workers, len(cfg.snr_grid_db)) - 1
+
+
+def test_sweep_wm2_schedule():
+    """The benchmark's sweep: predicted blocks 9/16/33/40 (8/16/29/40 are
+    sent), longest first to the lighter share."""
+    cfg = ExperimentConfig("wm2", 6, 512, 1.0, (-12.0, -11.0, -10.0, -9.0),
+                           min_errors=100, max_trials=40)
+    assert [ber._predicted_blocks(cfg, pt) for pt in range(4)] == [9, 16, 33, 40]
+    assert ber._shares(cfg, 2) == [[3, 0], [2, 1]]
+    assert ber._shares(cfg, 4) == [[3], [2], [1], [0]]
+
+
+def test_helper_killed_between_calls_is_replaced(monkeypatch, fresh_helpers):
+    cfg = PARALLEL_CONFIGS["wm2"]
+    want = sequential_points(monkeypatch, cfg)
+    use_workers(monkeypatch, 2)
+    assert run_monte_carlo(cfg) == want
+    [old] = ber._helpers
+    os.kill(old.pid, signal.SIGKILL)
+    os.waitid(os.P_PID, old.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+    assert run_monte_carlo(cfg) == want
+    assert old not in ber._helpers
+    assert run_monte_carlo(cfg) == want
+    [new] = ber._helpers
+    assert new.pid != old.pid
+
+
+def test_helper_dying_mid_call_has_its_share_run_here(monkeypatch, fresh_helpers):
+    cfg = PARALLEL_CONFIGS["pam"]
+    want = sequential_points(monkeypatch, cfg)
+    owner, real = os.getpid(), ber._run_point
+
+    def die_in_helper(cfg, pt):
+        if os.getpid() != owner:
+            os._exit(1)
+        return real(cfg, pt)
+
+    monkeypatch.setattr(ber, "_run_point", die_in_helper)
+    use_workers(monkeypatch, 3)
+    assert run_monte_carlo(cfg) == want
+    assert ber._helpers == []
+
+
+class PointFailure(Exception):
+    pass
+
+
+def test_helper_exception_reaches_the_owner(monkeypatch, fresh_helpers):
+    cfg = PARALLEL_CONFIGS["wm1"]
+    owner, real = os.getpid(), ber._run_point
+
+    def fail_in_helper(cfg, pt):
+        if os.getpid() != owner:
+            raise PointFailure(f"point {pt}")
+        return real(cfg, pt)
+
+    monkeypatch.setattr(ber, "_run_point", fail_in_helper)
+    use_workers(monkeypatch, 2)
+    with pytest.raises(PointFailure, match="point"):
+        run_monte_carlo(cfg)
+    assert ber._helpers == []
+
+
+def test_exception_here_stops_helpers_before_their_replies(monkeypatch, fresh_helpers):
+    cfg, other = PARALLEL_CONFIGS["wm2"], PARALLEL_CONFIGS["pam"]
+    want = sequential_points(monkeypatch, other)
+    use_workers(monkeypatch, 2)
+    run_monte_carlo(cfg)  # forks the helper with the real _run_point
+    owner, real = os.getpid(), ber._run_point
+
+    def interrupt_here(cfg, pt):
+        if os.getpid() == owner:
+            raise KeyboardInterrupt
+        return real(cfg, pt)
+
+    monkeypatch.setattr(ber, "_run_point", interrupt_here)
+    with pytest.raises(KeyboardInterrupt):
+        run_monte_carlo(cfg)
+    assert ber._helpers == []
+    monkeypatch.setattr(ber, "_run_point", real)
+    # A helper still holding its reply for cfg would answer this call with it.
+    assert run_monte_carlo(other) == want
+
+
+def test_forked_child_forks_its_own_helpers(monkeypatch, fresh_helpers):
+    cfg = PARALLEL_CONFIGS["wm2"]
+    want = sequential_points(monkeypatch, cfg)
+    use_workers(monkeypatch, 2)
+    assert run_monte_carlo(cfg) == want
+    [helper] = ber._helpers
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            signal.alarm(60)  # a hung child dies rather than hang the test
+            inherited = list(ber._helpers)
+            ok = inherited == [] and run_monte_carlo(cfg) == want
+            ok = ok and [h.pid for h in ber._helpers] != [helper.pid]
+            ber._stop_helpers()
+        finally:
+            os.write(write_end, b"1" if ok else b"0")
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as result:
+        child_ok = result.read()
+    os.waitpid(pid, 0)
+    assert child_ok == b"1"
+    assert run_monte_carlo(cfg) == want
+    assert ber._helpers == [helper]
+
+
+def test_nothing_is_forked_while_another_thread_runs(monkeypatch, fresh_helpers):
+    cfg = PARALLEL_CONFIGS["wm2"]
+    want = sequential_points(monkeypatch, cfg)
+    use_workers(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert run_monte_carlo(cfg) == want
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert ber._helpers == []

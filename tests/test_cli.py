@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import wavemod
+import wavemod.ber as ber
 from wavemod import cli
 from wavemod.cli import MAX_SNR_POINTS, main, parse_snr_grid, read_config_file, CSV_COLUMNS
 from wavemod.errors import ConfigurationError
@@ -361,7 +362,8 @@ def test_file_modem_does_not_import_scipy(tmp_path):
     a = ["--method", "wm2", "--scales", "2"]
     argvs = [["modulate", "bits.txt", "--out", "s.txt", *a],
              ["demodulate", "s.txt", "--out", "b.txt", *a]]
-    assert run_cli_reporting_modules(tmp_path, argvs, ["scipy", "numpy.random"]) == ["False"] * 2
+    modules = ["scipy", "numpy.random", "multiprocessing"]
+    assert run_cli_reporting_modules(tmp_path, argvs, modules) == ["False"] * 3
     assert (tmp_path / "b.txt").read_text() == (tmp_path / "bits.txt").read_text()
 
 
@@ -405,6 +407,48 @@ def test_ber_sweep_failure_mid_run_leaves_no_output(tmp_path, monkeypatch, capsy
     assert calls == ["pam", "wm2"]
     assert "injected failure" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ber_sweep_helper_failure_leaves_no_output(tmp_path, monkeypatch, capsys):
+    ber._stop_helpers()  # the helper must fork under the patch below
+    owner, real = os.getpid(), ber._run_point
+
+    def fail_in_helper(cfg, pt):
+        if os.getpid() != owner:
+            raise ConfigurationError(f"injected failure at point {pt}")
+        return real(cfg, pt)
+
+    monkeypatch.setattr(ber, "_run_point", fail_in_helper)
+    monkeypatch.setattr(ber, "_usable_cpus", lambda: 2)
+    try:
+        args = sweep_args(tmp_path, "out.csv", extra=["--method", "wm2", "--scales", "2", "--plot"])
+        assert main(args) == 2
+    finally:
+        ber._stop_helpers()
+    err = capsys.readouterr().err
+    assert "injected failure at point" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ber_sweep_process_exits_and_leaves_no_helper(tmp_path):
+    """The helpers a sweep forks end with the process that forked them."""
+    code = (
+        "import wavemod.ber as b, wavemod.cli as c\n"
+        "b._usable_cpus = lambda: 3\n"
+        "argv = ['ber-sweep', '--method', 'wm2', '--scales', '2', '--message-len', '16',\n"
+        "        '--snr-grid=-3,0,3', '--min-errors', '20', '--max-trials', '20']\n"
+        "assert c.main(argv) == 0\n"
+        "print(*(h.pid for h in b._helpers))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    pids = [int(p) for p in done.stdout.splitlines()[-1].split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 # Per setting: values the contract accepts, then values it must reject.

@@ -15,6 +15,7 @@ from wavemod.codec import (
 )
 from wavemod.errors import ConfigurationError
 from wavemod.filterbank import level_slice
+from wavemod.modem import Modem
 
 
 def symbols_of(bits, e0=1.0):
@@ -195,9 +196,12 @@ def test_gather_shape_mismatch():
 
 
 def test_symbol_map_is_cached_and_read_only():
-    spec = PlacementSpec(METHOD2, 3, 4)
-    owners = coefficient_symbol_map(spec)
-    assert coefficient_symbol_map(PlacementSpec(METHOD2, 3, 4)) is owners
+    # The modem that uses the map caches it; a module-level cache kept
+    # frame-sized maps alive after their modem was gone.
+    modem = Modem(METHOD2, 3, 4)
+    owners = modem._symbol_map
+    assert modem._symbol_map is owners
+    assert coefficient_symbol_map(modem.spec) is not owners
     assert [o.tolist() for o in owners] == [
         [0, 1, 2, 3], [0, 1, 2, 3] * 2, [0, 1, 2, 3] * 4
     ]
