@@ -19,7 +19,6 @@ from wavemod.filterbank import (
 from wavemod.codec import (
     METHOD1,
     METHOD2,
-    MessageBlock,
     PlacementSpec,
     place_method1,
     place_method2,
@@ -27,15 +26,13 @@ from wavemod.codec import (
 from wavemod.channel import NoiseSpec, add_awgn
 from wavemod.detector import detect_block
 from wavemod.modem import Modem
-from wavemod.ber import (
-    BerPoint,
-    ExperimentConfig,
+from wavemod.ber import BerPoint, ExperimentConfig, run_monte_carlo
+from wavemod.theory import (
     ber_method1_exact,
     ber_method1_ideal,
     ber_method2,
     ber_pam,
     q_function,
-    run_monte_carlo,
 )
 
 __version__ = "0.1.0"
@@ -48,7 +45,6 @@ __all__ = [
     "FilterPair",
     "METHOD1",
     "METHOD2",
-    "MessageBlock",
     "Modem",
     "NoiseSpec",
     "PlacementSpec",

@@ -13,11 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from wavemod.ber import ExperimentConfig, energy_per_symbol_factor, run_monte_carlo
+from wavemod.ber import ExperimentConfig, run_monte_carlo
 from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filters import make_daubechies, validate_filter_pair
 from wavemod.modem import METHOD1, METHOD2, Modem
 from wavemod.svgplot import render_ber_svg
+from wavemod.theory import energy_per_symbol_factor
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,20 +192,9 @@ def _gather_settings(args) -> dict:
     settings = dict(DEFAULTS)
     if args.config:
         settings.update(read_config_file(Path(args.config)))
-    for key, attr in (
-        ("methods", "method"),
-        ("scales", "scales"),
-        ("message_len", "message_len"),
-        ("snr_grid", "snr_grid"),
-        ("min_errors", "min_errors"),
-        ("max_trials", "max_trials"),
-        ("seed", "seed"),
-        ("taps", "taps"),
-        ("energy", "energy"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            settings[key] = value
+    for key in DEFAULTS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     return settings
 
 
@@ -246,8 +236,13 @@ def cmd_ber_sweep(args) -> int:
 
     out_path = Path(args.out if args.out else settings.get("out", "ber.csv"))
     svg_path = out_path.with_suffix(".svg")
+    if args.plot and svg_path == out_path:
+        raise ConfigurationError(f"--plot writes {svg_path}, so the CSV needs another name")
     curves = []
-    with _replace_on_success(out_path) as handle:
+    # Both outputs are opened before the sweep. The SVG's block ends first,
+    # so a failed SVG write keeps the CSV back too.
+    plot = _replace_on_success(svg_path) if args.plot else contextlib.nullcontext()
+    with _replace_on_success(out_path) as handle, plot as svg:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for cfg in configs:
@@ -273,15 +268,10 @@ def cmd_ber_sweep(args) -> int:
             curves.append(
                 (f"{method} theory", True, [(p.snr_db, p.ber_theory) for p in points])
             )
-        # Inside the CSV's block, so a failed SVG write keeps the CSV back too.
-        if args.plot:
-            with _replace_on_success(svg_path) as svg:
-                svg.write(render_ber_svg(curves))
+        if svg:
+            svg.write(render_ber_svg(curves))
 
-    if args.plot:
-        print(f"wrote {out_path} and {svg_path}")
-    else:
-        print(f"wrote {out_path}")
+    print(f"wrote {out_path} and {svg_path}" if args.plot else f"wrote {out_path}")
     return EXIT_OK
 
 
@@ -310,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber-sweep", help="run Monte Carlo BER sweeps to CSV/SVG")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--method", dest="method", help="comma-separated subset of wm1,wm2,pam")
+    p.add_argument("--method", dest="methods", help="comma-separated subset of wm1,wm2,pam")
     p.add_argument("--scales", type=int)
     p.add_argument("--message-len", dest="message_len", type=int)
     p.add_argument("--snr-grid", dest="snr_grid", help='grid as "a:b:step" or comma list')

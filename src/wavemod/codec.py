@@ -12,7 +12,7 @@ branch zero. Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
 """
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
@@ -22,21 +22,15 @@ METHOD1 = "wm1"
 METHOD2 = "wm2"
 
 
-@dataclass(frozen=True)
-class MessageBlock:
-    """Binary message plus the per-copy symbol energy E0."""
+def symbols(bits, energy: float) -> np.ndarray:
+    """Antipodal map of 0/1 bits: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
 
-    bits: np.ndarray
-    symbol_energy: float = 1.0
-
-    def symbols(self) -> np.ndarray:
-        """Antipodal map: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0)."""
-        bits = np.asarray(self.bits)
-        if not (isfinite(self.symbol_energy) and self.symbol_energy > 0):
-            raise ConfigurationError(f"symbol energy must be finite and > 0, got {self.symbol_energy}")
-        if not ((bits == 0) | (bits == 1)).all():
-            raise ConfigurationError("message bits must be 0 or 1")
-        return (2.0 * bits - 1.0) * sqrt(self.symbol_energy)
+    The energy is not checked here: a Modem checks it once, when built.
+    """
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ConfigurationError("message bits must be 0 or 1")
+    return (2.0 * bits - 1.0) * sqrt(energy)
 
 
 @dataclass(frozen=True)
@@ -95,18 +89,17 @@ class PlacementSpec:
         return self.base_length * 2**self.num_scales
 
 
-def place_method1(msg: MessageBlock, num_scales: int) -> np.ndarray:
-    """Decimation placement: scale m holds every 2**(M-1-m)-th symbol."""
-    a = msg.symbols()
+def place_method1(a: np.ndarray, num_scales: int) -> np.ndarray:
+    """Decimation placement of symbols a: scale m holds every
+    2**(M-1-m)-th symbol."""
     spec = PlacementSpec.for_message(METHOD1, num_scales, len(a))
     decimated = [a[:: 2 ** (num_scales - 1 - m)] for m in range(num_scales)]
     return np.concatenate([np.zeros(spec.base_length), *decimated])
 
 
-def place_method2(msg: MessageBlock, num_scales: int) -> np.ndarray:
-    """Repetition placement: scale m holds 2**m periods of the message, so
-    the levels together are 2**M - 1 back-to-back periods."""
-    a = msg.symbols()
+def place_method2(a: np.ndarray, num_scales: int) -> np.ndarray:
+    """Repetition placement of symbols a: scale m holds 2**m periods of the
+    message, so the levels together are 2**M - 1 back-to-back periods."""
     spec = PlacementSpec.for_message(METHOD2, num_scales, len(a))
     frame = np.zeros(spec.num_samples)
     frame[len(a) :].reshape(-1, len(a))[:] = a

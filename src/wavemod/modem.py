@@ -106,13 +106,13 @@ class Modem:
         """message_len bits (0 or 1) -> one frame of samples, a new array."""
         if len(bits) != self.message_len:
             raise ShapeError(f"message has {len(bits)} bits, expected {self.message_len}")
-        msg = codec.MessageBlock(bits, self.symbol_energy)
+        symbols = codec.symbols(bits, self.symbol_energy)
         if self.method == METHOD1:
-            frame = codec.place_method1(msg, self.num_scales)
+            frame = codec.place_method1(symbols, self.num_scales)
         elif self.method == METHOD2:
-            frame = codec.place_method2(msg, self.num_scales)
+            frame = codec.place_method2(symbols, self.num_scales)
         else:
-            return msg.symbols()
+            return symbols
         return filterbank.synthesize_pyramid(
             frame, self.num_scales, self.filter_pair, self._synthesis_work
         )

@@ -12,20 +12,12 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import erfcinv
 
-from wavemod.ber import (
-    ExperimentConfig,
-    ber_method1_exact,
-    ber_method1_ideal,
-    ber_method2,
-    ber_pam,
-    q_function,
-    run_monte_carlo,
-    snr_at_ber,
-)
+from wavemod.ber import ExperimentConfig, run_monte_carlo, snr_at_ber
 from wavemod.channel import NoiseSpec, add_awgn
 from wavemod.cli import main
 from wavemod.filterbank import analyze_pyramid, level_slice, synthesize_pyramid
 from wavemod.filters import make_daubechies, validate_filter_pair
+from wavemod.theory import ber_method1_exact, ber_method1_ideal, ber_method2, ber_pam, q_function
 
 
 def report(criterion, ok, detail=""):

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from scipy.special import erfc
 import wavemod
 import wavemod.ber as ber
 
-from wavemod.ber import (
-    ExperimentConfig,
+from wavemod import _helpers
+from wavemod.ber import ExperimentConfig, run_monte_carlo, snr_at_ber
+from wavemod.theory import (
     ber_method1_exact,
     ber_method1_ideal,
     ber_method2,
@@ -24,8 +26,6 @@ from wavemod.ber import (
     ber_theory,
     energy_per_symbol_factor,
     q_function,
-    run_monte_carlo,
-    snr_at_ber,
 )
 from wavemod.errors import ConfigurationError
 
@@ -304,15 +304,15 @@ def test_pickled_config_carries_no_work_areas():
 
 @pytest.fixture
 def fresh_helpers():
-    """No helper processes before or after the test, so helpers forked
-    under a monkeypatch never serve another test."""
-    ber._stop_helpers()
+    """No helper processes before or after the test, so each test sees
+    only the helpers it forked."""
+    _helpers.stop()
     yield
-    ber._stop_helpers()
+    _helpers.stop()
 
 
 def use_workers(monkeypatch, count):
-    monkeypatch.setattr(ber, "_usable_cpus", lambda: count)
+    monkeypatch.setattr(_helpers, "usable_cpus", lambda: count)
 
 
 # Each grid has points that stop on min_errors and points that stop on
@@ -330,7 +330,7 @@ PARALLEL_CONFIGS = {
 def sequential_points(monkeypatch, cfg):
     use_workers(monkeypatch, 1)
     points = run_monte_carlo(cfg)
-    assert ber._helpers == []
+    assert _helpers.pool == []
     return points
 
 
@@ -344,7 +344,7 @@ def test_points_do_not_depend_on_worker_count(monkeypatch, fresh_helpers, method
     for workers in (2, 3, len(cfg.snr_grid_db) + 2):
         use_workers(monkeypatch, workers)
         assert run_monte_carlo(cfg) == want
-        assert len(ber._helpers) == min(workers, len(cfg.snr_grid_db)) - 1
+        assert len(_helpers.pool) == min(workers, len(cfg.snr_grid_db)) - 1
 
 
 def test_sweep_wm2_schedule():
@@ -362,13 +362,13 @@ def test_helper_killed_between_calls_is_replaced(monkeypatch, fresh_helpers):
     want = sequential_points(monkeypatch, cfg)
     use_workers(monkeypatch, 2)
     assert run_monte_carlo(cfg) == want
-    [old] = ber._helpers
+    [old] = _helpers.pool
     os.kill(old.pid, signal.SIGKILL)
     os.waitid(os.P_PID, old.pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
     assert run_monte_carlo(cfg) == want
-    assert old not in ber._helpers
+    assert old not in _helpers.pool
     assert run_monte_carlo(cfg) == want
-    [new] = ber._helpers
+    [new] = _helpers.pool
     assert new.pid != old.pid
 
 
@@ -385,7 +385,7 @@ def test_helper_dying_mid_call_has_its_share_run_here(monkeypatch, fresh_helpers
     monkeypatch.setattr(ber, "_run_point", die_in_helper)
     use_workers(monkeypatch, 3)
     assert run_monte_carlo(cfg) == want
-    assert ber._helpers == []
+    assert _helpers.pool == []
 
 
 class PointFailure(Exception):
@@ -405,7 +405,7 @@ def test_helper_exception_reaches_the_owner(monkeypatch, fresh_helpers):
     use_workers(monkeypatch, 2)
     with pytest.raises(PointFailure, match="point"):
         run_monte_carlo(cfg)
-    assert ber._helpers == []
+    assert _helpers.pool == []
 
 
 def test_exception_here_stops_helpers_before_their_replies(monkeypatch, fresh_helpers):
@@ -423,9 +423,10 @@ def test_exception_here_stops_helpers_before_their_replies(monkeypatch, fresh_he
     monkeypatch.setattr(ber, "_run_point", interrupt_here)
     with pytest.raises(KeyboardInterrupt):
         run_monte_carlo(cfg)
-    assert ber._helpers == []
+    assert _helpers.pool == []
     monkeypatch.setattr(ber, "_run_point", real)
-    # A helper still holding its reply for cfg would answer this call with it.
+    # Helpers are kept per fn, so this call gets a new one either way;
+    # test_exception_here_discards_the_helpers_pending_replies keeps one fn.
     assert run_monte_carlo(other) == want
 
 
@@ -434,17 +435,17 @@ def test_forked_child_forks_its_own_helpers(monkeypatch, fresh_helpers):
     want = sequential_points(monkeypatch, cfg)
     use_workers(monkeypatch, 2)
     assert run_monte_carlo(cfg) == want
-    [helper] = ber._helpers
+    [helper] = _helpers.pool
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         ok = False
         try:
             signal.alarm(60)  # a hung child dies rather than hang the test
-            inherited = list(ber._helpers)
+            inherited = list(_helpers.pool)
             ok = inherited == [] and run_monte_carlo(cfg) == want
-            ok = ok and [h.pid for h in ber._helpers] != [helper.pid]
-            ber._stop_helpers()
+            ok = ok and [h.pid for h in _helpers.pool] != [helper.pid]
+            _helpers.stop()
         finally:
             os.write(write_end, b"1" if ok else b"0")
             os._exit(0)
@@ -454,7 +455,7 @@ def test_forked_child_forks_its_own_helpers(monkeypatch, fresh_helpers):
     os.waitpid(pid, 0)
     assert child_ok == b"1"
     assert run_monte_carlo(cfg) == want
-    assert ber._helpers == [helper]
+    assert _helpers.pool == [helper]
 
 
 def test_nothing_is_forked_while_another_thread_runs(monkeypatch, fresh_helpers):
@@ -475,4 +476,92 @@ def test_nothing_is_forked_while_another_thread_runs(monkeypatch, fresh_helpers)
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert ber._helpers == []
+    assert _helpers.pool == []
+
+
+# The helper pool alone, driven with trivial jobs.
+
+
+def test_unpicklable_reply_ends_the_helper_and_its_share_runs_here(fresh_helpers):
+    owner = os.getpid()
+
+    def unpicklable_in_helper(arg, item):
+        if os.getpid() != owner:
+            return lambda: item  # a local function cannot be pickled
+        return arg + item
+
+    assert _helpers.run(unpicklable_in_helper, 10, [[0], [1, 2]]) == {0: 10, 1: 11, 2: 12}
+    assert _helpers.pool == []
+
+
+def test_exception_here_discards_the_helpers_pending_replies(fresh_helpers):
+    owner, interrupt = os.getpid(), [True]
+
+    def tag(arg, item):
+        if os.getpid() == owner and interrupt[0]:
+            raise KeyboardInterrupt
+        return arg, item
+
+    with pytest.raises(KeyboardInterrupt):
+        _helpers.run(tag, "first", [[0], [1]])
+    assert _helpers.pool == []
+    interrupt[0] = False
+    # Same fn: a helper still holding ("first", 1) would answer with it.
+    assert _helpers.run(tag, "second", [[0], [1]]) == {0: ("second", 0), 1: ("second", 1)}
+
+
+def test_helpers_of_another_fn_are_replaced(fresh_helpers):
+    def double(arg, item):
+        return 2 * item
+
+    def negate(arg, item):
+        return -item
+
+    assert _helpers.run(double, None, [[1], [2], [3]]) == {1: 2, 2: 4, 3: 6}
+    first = [helper.pid for helper in _helpers.pool]
+    assert _helpers.run(double, None, [[1], [2], [3]]) == {1: 2, 2: 4, 3: 6}
+    assert [helper.pid for helper in _helpers.pool] == first
+    assert _helpers.run(negate, None, [[1], [2], [3]]) == {1: -1, 2: -2, 3: -3}
+    assert len(_helpers.pool) == 2
+    assert not {helper.pid for helper in _helpers.pool} & set(first)
+    for pid in first:
+        with pytest.raises(ChildProcessError):  # killed and reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_helpers_end_when_their_owner_dies_without_stopping_them(tmp_path):
+    """A helper sees the end of its input once its owner is gone, even when
+    the owner skips its exit handlers."""
+    pids = tmp_path / "pids"
+    code = f"""
+import os
+import wavemod._helpers as h
+def same(arg, item):
+    return item
+assert h.run(same, None, [[0], [1], [2]]) == {{0: 0, 1: 1, 2: 2}}
+open({str(pids)!r}, "w").write(" ".join(str(helper.pid) for helper in h.pool))
+os._exit(0)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    # No pipes: the helpers inherit the owner's output descriptors.
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    assert done.returncode == 0
+    helper_pids = [int(p) for p in pids.read_text().split()]
+    assert len(helper_pids) == 2
+
+    def ended(pid):  # gone, or a zombie its new parent has not reaped yet
+        try:
+            os.kill(pid, 0)
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+        except OSError:
+            return True
+
+    deadline = time.monotonic() + 20
+    while not all(map(ended, helper_pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    alive = [pid for pid in helper_pids if not ended(pid)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert alive == []

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies
 
 import wavemod
 import wavemod.ber as ber
+from wavemod import _helpers
 from wavemod import cli
 from wavemod.cli import MAX_SNR_POINTS, main, parse_snr_grid, read_config_file, CSV_COLUMNS
 from wavemod.errors import ConfigurationError
@@ -195,6 +196,23 @@ def test_ber_sweep_output_is_directory(tmp_path, capsys, monkeypatch):
     assert main(sweep_args(tmp_path, "out.csv")) == 3
     assert "cannot open output" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_ber_sweep_rejects_csv_named_like_its_plot(tmp_path, capsys, monkeypatch):
+    # Both outputs used to share one temp file: exit 3, the SVG corrupt.
+    monkeypatch.setattr(cli, "run_monte_carlo", None)  # fails before the sweep
+    assert main(sweep_args(tmp_path, "res.svg", extra=["--plot"])) == 2
+    err = capsys.readouterr().err
+    assert "res.svg" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ber_sweep_plot_is_directory(tmp_path, capsys, monkeypatch):
+    (tmp_path / "out.svg").mkdir()
+    monkeypatch.setattr(cli, "run_monte_carlo", None)  # fails before the sweep
+    assert main(sweep_args(tmp_path, "out.csv", extra=["--plot"])) == 3
+    assert "cannot open output" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out.svg"]
 
 
 def test_ber_sweep_config_file(tmp_path):
@@ -410,7 +428,7 @@ def test_ber_sweep_failure_mid_run_leaves_no_output(tmp_path, monkeypatch, capsy
 
 
 def test_ber_sweep_helper_failure_leaves_no_output(tmp_path, monkeypatch, capsys):
-    ber._stop_helpers()  # the helper must fork under the patch below
+    _helpers.stop()  # the helper must fork under the patch below
     owner, real = os.getpid(), ber._run_point
 
     def fail_in_helper(cfg, pt):
@@ -419,12 +437,12 @@ def test_ber_sweep_helper_failure_leaves_no_output(tmp_path, monkeypatch, capsys
         return real(cfg, pt)
 
     monkeypatch.setattr(ber, "_run_point", fail_in_helper)
-    monkeypatch.setattr(ber, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_helpers, "usable_cpus", lambda: 2)
     try:
         args = sweep_args(tmp_path, "out.csv", extra=["--method", "wm2", "--scales", "2", "--plot"])
         assert main(args) == 2
     finally:
-        ber._stop_helpers()
+        _helpers.stop()
     err = capsys.readouterr().err
     assert "injected failure at point" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
@@ -433,12 +451,12 @@ def test_ber_sweep_helper_failure_leaves_no_output(tmp_path, monkeypatch, capsys
 def test_ber_sweep_process_exits_and_leaves_no_helper(tmp_path):
     """The helpers a sweep forks end with the process that forked them."""
     code = (
-        "import wavemod.ber as b, wavemod.cli as c\n"
-        "b._usable_cpus = lambda: 3\n"
+        "import wavemod._helpers as h, wavemod.cli as c\n"
+        "h.usable_cpus = lambda: 3\n"
         "argv = ['ber-sweep', '--method', 'wm2', '--scales', '2', '--message-len', '16',\n"
         "        '--snr-grid=-3,0,3', '--min-errors', '20', '--max-trials', '20']\n"
         "assert c.main(argv) == 0\n"
-        "print(*(h.pid for h in b._helpers))\n"
+        "print(*(helper.pid for helper in h.pool))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,

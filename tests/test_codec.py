@@ -7,11 +7,11 @@ from naive_detector import gather_observations
 from wavemod.codec import (
     METHOD1,
     METHOD2,
-    MessageBlock,
     PlacementSpec,
     coefficient_symbol_map,
     place_method1,
     place_method2,
+    symbols,
 )
 from wavemod.errors import ConfigurationError
 from wavemod.filterbank import level_slice
@@ -23,20 +23,12 @@ def symbols_of(bits, e0=1.0):
 
 
 def test_polarity():
-    msg = MessageBlock(bits=np.array([1, 0]), symbol_energy=4.0)
-    np.testing.assert_allclose(msg.symbols(), [2.0, -2.0])
-
-
-@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_bad_symbol_energy_rejected(energy):
-    # nan used to pass the check and give nan symbols.
-    with pytest.raises(ConfigurationError, match="symbol energy"):
-        MessageBlock(bits=np.array([1, 0]), symbol_energy=energy).symbols()
+    np.testing.assert_allclose(symbols(np.array([1, 0]), 4.0), [2.0, -2.0])
 
 
 def test_non_binary_bits_rejected():
     with pytest.raises(ConfigurationError, match="0 or 1"):
-        MessageBlock(bits=np.array([0, 2])).symbols()
+        symbols(np.array([0, 2]), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -57,7 +49,7 @@ def test_bit_check_matches_membership_test(bits):
     """The bit check accepts exactly what np.isin(bits, (0, 1)) accepts."""
     accepted = True
     try:
-        MessageBlock(bits).symbols()
+        symbols(bits, 1.0)
     except ConfigurationError:
         accepted = False
     assert accepted == np.isin(bits, (0, 1)).all()
@@ -65,7 +57,7 @@ def test_bit_check_matches_membership_test(bits):
 
 def test_method1_two_scales():
     bits = np.array([1, 0, 0, 1])
-    frame = place_method1(MessageBlock(bits), 2)
+    frame = place_method1(symbols(bits, 1.0), 2)
     s = symbols_of(bits)
     np.testing.assert_allclose(frame[level_slice(2, 1)], s)
     np.testing.assert_allclose(frame[level_slice(2, 0)], s[[0, 2]])
@@ -74,13 +66,13 @@ def test_method1_two_scales():
 
 def test_method1_single_scale_verbatim():
     bits = np.array([1, 1, 0, 1, 0])
-    frame = place_method1(MessageBlock(bits), 1)
+    frame = place_method1(symbols(bits, 1.0), 1)
     np.testing.assert_allclose(frame[level_slice(5, 0)], symbols_of(bits))
 
 
 def test_method1_three_scale_strides():
     bits = np.arange(8) % 2
-    frame = place_method1(MessageBlock(bits), 3)
+    frame = place_method1(symbols(bits, 1.0), 3)
     s = symbols_of(bits)
     details = [frame[level_slice(2, m)] for m in range(3)]
     assert [len(d) for d in details] == [2, 4, 8]
@@ -97,24 +89,24 @@ def test_method1_frame_matches_per_level_decimation(num_scales):
     a = symbols_of(bits)
     details = [a[:: 2 ** (num_scales - 1 - m)].copy() for m in range(num_scales)]
     expected = np.concatenate([np.zeros(n0), *details])
-    assert np.array_equal(place_method1(MessageBlock(bits), num_scales), expected)
+    assert np.array_equal(place_method1(symbols(bits, 1.0), num_scales), expected)
 
 
 def test_method1_divisibility():
     with pytest.raises(ConfigurationError, match="divisible by 4"):
-        place_method1(MessageBlock(np.zeros(6, dtype=int)), 3)
+        place_method1(symbols(np.zeros(6, dtype=int), 1.0), 3)
 
 
 def test_method2_two_scales():
     bits = np.array([1, 0])
-    frame = place_method2(MessageBlock(bits), 2)
+    frame = place_method2(symbols(bits, 1.0), 2)
     s = symbols_of(bits)
     np.testing.assert_allclose(frame[level_slice(2, 0)], s)
     np.testing.assert_allclose(frame[level_slice(2, 1)], np.tile(s, 2))
 
 
 def test_method2_degenerate_single_symbol():
-    frame = place_method2(MessageBlock(np.array([1])), 3)
+    frame = place_method2(symbols(np.array([1]), 1.0), 3)
     details = [frame[level_slice(1, m)] for m in range(3)]
     assert [len(d) for d in details] == [1, 2, 4]
     assert sum(len(d) for d in details) == 2**3 - 1
@@ -127,13 +119,13 @@ def test_method2_frame_matches_tiled_levels(length, num_scales):
     bits = np.random.default_rng(length).integers(0, 2, length)
     a = symbols_of(bits, 2.5)
     expected = np.concatenate([np.zeros(length)] + [np.tile(a, 2**m) for m in range(num_scales)])
-    assert np.array_equal(place_method2(MessageBlock(bits, 2.5), num_scales), expected)
+    assert np.array_equal(place_method2(symbols(bits, 2.5), num_scales), expected)
 
 
 @pytest.mark.parametrize("length,num_scales", [(3, 2), (5, 4), (8, 3)])
 def test_method2_copy_count(length, num_scales):
     bits = np.random.default_rng(length).integers(0, 2, length)
-    frame = place_method2(MessageBlock(bits), num_scales)
+    frame = place_method2(symbols(bits, 1.0), num_scales)
     spec = PlacementSpec(METHOD2, num_scales, length)
     obs = gather_observations(frame, spec)
     assert all(len(o.copies) == 2**num_scales - 1 for o in obs)
@@ -141,7 +133,7 @@ def test_method2_copy_count(length, num_scales):
 
 def test_method1_copy_counts():
     bits = np.random.default_rng(0).integers(0, 2, 16)
-    frame = place_method1(MessageBlock(bits), 3)
+    frame = place_method1(symbols(bits, 1.0), 3)
     obs = gather_observations(frame, PlacementSpec(METHOD1, 3, 4))
     # copy count = 1 + min(v2(k), M-1)
     assert len(obs[4].copies) == 3
@@ -154,7 +146,7 @@ def test_method1_copy_count_census():
     num_scales, n0 = 4, 8
     n = n0 * 2 ** (num_scales - 1)
     bits = np.random.default_rng(1).integers(0, 2, n)
-    frame = place_method1(MessageBlock(bits), num_scales)
+    frame = place_method1(symbols(bits, 1.0), num_scales)
     obs = gather_observations(frame, PlacementSpec(METHOD1, num_scales, n0))
     counts = np.bincount([len(o.copies) for o in obs])
     # N/2 symbols with 1 copy, N/4 with 2, ..., residue class gets M copies.
@@ -168,8 +160,8 @@ def test_method2_frame_size_vs_method1_rate():
     # Same frame budget: Method 1 carries 2**(M-1)*n0 distinct symbols,
     # Method 2 only n0.
     num_scales, n0 = 4, 4
-    m1 = place_method1(MessageBlock(np.zeros(n0 * 2 ** (num_scales - 1), dtype=int)), num_scales)
-    m2 = place_method2(MessageBlock(np.zeros(n0, dtype=int)), num_scales)
+    m1 = place_method1(symbols(np.zeros(n0 * 2 ** (num_scales - 1), dtype=int), 1.0), num_scales)
+    m2 = place_method2(symbols(np.zeros(n0, dtype=int), 1.0), num_scales)
     total1 = len(m1) - n0
     total2 = len(m2) - n0
     assert total1 == total2 == (2**num_scales - 1) * n0
@@ -182,7 +174,7 @@ def test_noiseless_round_trip_by_sign(method, place):
     rng = np.random.default_rng(3)
     num_scales = 4
     bits = rng.integers(0, 2, 16 if method == METHOD1 else 5)
-    frame = place(MessageBlock(bits, symbol_energy=0.25), num_scales)
+    frame = place(symbols(bits, 0.25), num_scales)
     base = 2 if method == METHOD1 else 5
     obs = gather_observations(frame, PlacementSpec(method, num_scales, base))
     recovered = [int(np.sum(o.copies) > 0) for o in obs]
@@ -190,7 +182,7 @@ def test_noiseless_round_trip_by_sign(method, place):
 
 
 def test_gather_shape_mismatch():
-    frame = place_method2(MessageBlock(np.array([1, 0])), 2)
+    frame = place_method2(symbols(np.array([1, 0]), 1.0), 2)
     with pytest.raises(ConfigurationError, match="does not match"):
         gather_observations(frame, PlacementSpec(METHOD2, 3, 2))
 

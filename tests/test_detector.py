@@ -8,10 +8,10 @@ from wavemod.channel import NoiseSpec, add_awgn
 from wavemod.codec import (
     METHOD1,
     METHOD2,
-    MessageBlock,
     PlacementSpec,
     place_method1,
     place_method2,
+    symbols,
 )
 from wavemod.detector import detect_block
 from wavemod.errors import ConfigurationError
@@ -82,7 +82,7 @@ def test_noiseless_round_trip(method, place, msg_len, num_scales):
     rng = np.random.default_rng(num_scales)
     bits = rng.integers(0, 2, msg_len)
     fp = make_daubechies(4)
-    frame = place(MessageBlock(bits), num_scales)
+    frame = place(symbols(bits, 1.0), num_scales)
     base = len(frame) >> num_scales
     block = synthesize_pyramid(frame, num_scales, fp)
     back = analyze_pyramid(block, num_scales, fp)
@@ -95,7 +95,7 @@ def test_detect_block_matches_gather_plus_ml_decide():
     fp = make_daubechies(4)
     for method, place, msg_len in ((METHOD1, place_method1, 32), (METHOD2, place_method2, 8)):
         bits = rng.integers(0, 2, msg_len)
-        frame = place(MessageBlock(bits), 4)
+        frame = place(symbols(bits, 1.0), 4)
         block = synthesize_pyramid(frame, 4, fp)
         noisy = add_awgn(block, NoiseSpec(sigma=1.0, seed=99))
         back = analyze_pyramid(noisy, 4, fp)
@@ -108,7 +108,7 @@ def test_detect_block_matches_gather_plus_ml_decide():
 def test_single_scale_reduces_to_sign_detector():
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 16)
-    frame = place_method1(MessageBlock(bits), 1)
+    frame = place_method1(symbols(bits, 1.0), 1)
     noisy_details = frame[level_slice(16, 0)] + rng.normal(0, 2.0, 16)
     frame2 = np.concatenate([frame[:16], noisy_details])
     detected = detect_block(frame2, PlacementSpec(METHOD1, 1, 16))
@@ -119,7 +119,7 @@ def test_one_corrupted_copy_out_of_seven_survives():
     # Method 2, M=3 -> K=7 copies; a single flipped copy of magnitude
     # below (K-1)*sqrt(E0) cannot outvote six clean ones.
     bits = np.array([1])
-    frame = place_method2(MessageBlock(bits), 3)
+    frame = place_method2(symbols(bits, 1.0), 3)
     frame[level_slice(1, 2)][3] = -5.9  # clean copies are +1 each
     detected = detect_block(frame, PlacementSpec(METHOD2, 3, 1))
     assert detected[0] == 1
