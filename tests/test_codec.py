@@ -26,6 +26,14 @@ def test_polarity():
     np.testing.assert_allclose(symbols(np.array([1, 0]), 4.0), [2.0, -2.0])
 
 
+@pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_bad_symbol_energy_rejected(energy):
+    # codec.symbols trusts its energy; the Modem that feeds it checks it once.
+    # nan used to pass the check and give nan symbols.
+    with pytest.raises(ConfigurationError, match="symbol energy"):
+        Modem("wm2", 4, 64, symbol_energy=energy)
+
+
 def test_non_binary_bits_rejected():
     with pytest.raises(ConfigurationError, match="0 or 1"):
         symbols(np.array([0, 2]), 1.0)

@@ -89,7 +89,6 @@ def test_frame_cap_boundary():
         (("wm1", 40, 512), {}, "cap"),
         (("wm1", 10**12, 512), {}, "cap"),
         (("wm2", 20, 512), {}, "cap"),
-        (("wm2", 4, 64), {"symbol_energy": float("-inf")}, "symbol energy"),
     ],
 )
 def test_contract_violations(args, kwargs, message):
