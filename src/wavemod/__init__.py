@@ -19,7 +19,6 @@ from wavemod.filterbank import (
 from wavemod.codec import (
     METHOD1,
     METHOD2,
-    PlacementSpec,
     place_method1,
     place_method2,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "METHOD2",
     "Modem",
     "NoiseSpec",
-    "PlacementSpec",
     "ShapeError",
     "add_awgn",
     "analysis_step",

@@ -126,8 +126,11 @@ def _read_lines(path: Path, kind: str, parse) -> list:
 
 
 def _write_lines(path: Path, line_format: str, values: np.ndarray):
-    """One value per line, formatted in a single %-operation."""
-    path.write_text((line_format * len(values)) % tuple(values.tolist()))
+    """One value per line, formatted in a single %-operation and written
+    through _replace_on_success, so a failed write leaves no partial file."""
+    text = (line_format * len(values)) % tuple(values.tolist())
+    with _replace_on_success(path) as handle:
+        handle.write(text)
 
 
 def _parse_bit(token: str) -> int:

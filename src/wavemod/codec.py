@@ -8,15 +8,17 @@ Method 2 ("wm2") repeats the whole L-symbol message periodically at every
 scale, giving each symbol exactly K = 2**M - 1 copies.
 
 Both return one frame laid out as filterbank.level_slice says, coarse
-branch zero. Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
+branch zero. copies() is the one statement of where each level's copies
+go: the placements write through it and detector.detect_block reads
+through it. Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
 """
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from wavemod.errors import ConfigurationError
+from wavemod.filterbank import level_slice
 
 METHOD1 = "wm1"
 METHOD2 = "wm2"
@@ -33,102 +35,61 @@ def symbols(bits, energy: float) -> np.ndarray:
     return (2.0 * bits - 1.0) * sqrt(energy)
 
 
-@dataclass(frozen=True)
-class PlacementSpec:
-    """Which placement produced a frame: method, scale count, base length.
+def base_length(method: str, num_scales: int, message_len: int) -> int:
+    """Coarse length n0 of the frame that places a message_len-symbol message.
 
-    base_length is the coarsest detail length n0; the message length is
-    n0 * 2**(M-1) for Method 1 and n0 for Method 2.
+    A frame has n0 * 2**M coefficients. Method 2 repeats the message, so
+    n0 = L; Method 1 decimates it by up to 2**(M-1), so it needs a message
+    length divisible by that factor and n0 = L / 2**(M-1).
     """
+    if method not in (METHOD1, METHOD2):
+        raise ConfigurationError(f"unknown placement method {method!r}")
+    if num_scales < 1:
+        raise ConfigurationError("num_scales must be >= 1")
+    if message_len < 1:
+        raise ConfigurationError("message_len must be >= 1")
+    if method == METHOD2:
+        return message_len
+    factor = 2 ** (num_scales - 1)
+    if message_len % factor != 0:
+        raise ConfigurationError(
+            f"Method 1 with {num_scales} scales needs a message length "
+            f"divisible by {factor}, got {message_len}"
+        )
+    return message_len // factor
 
-    method: str
-    num_scales: int
-    base_length: int
 
-    def __post_init__(self):
-        if self.method not in (METHOD1, METHOD2):
-            raise ConfigurationError(f"unknown placement method {self.method!r}")
-        if self.num_scales < 1:
-            raise ConfigurationError("num_scales must be >= 1")
-        if self.base_length < 1:
-            raise ConfigurationError("base_length must be >= 1")
+def copies(frame: np.ndarray, method: str, num_scales: int):
+    """Where the placement puts each symbol's copies, the one statement of it.
 
-    @classmethod
-    def for_message(cls, method: str, num_scales: int, message_len: int):
-        """The spec that places a message_len-symbol message.
+    Yields, for detail levels m = 0..M-1 in order, (rows, sel): a 2-D view
+    of level m whose every row holds the message symbols a[sel]. Method 1,
+    level m: one row of every 2**(M-1-m)-th symbol. Method 2, level m:
+    2**m rows of the whole message.
+    """
+    n0 = len(frame) >> num_scales
+    for m in range(num_scales):
+        level = frame[level_slice(n0, m)]
+        if method == METHOD1:
+            yield level[np.newaxis], slice(None, None, 2 ** (num_scales - 1 - m))
+        else:
+            yield level.reshape(1 << m, n0), slice(None)
 
-        Method 1 decimates by up to 2**(M-1), so it needs a message length
-        divisible by that factor.
-        """
-        if method != METHOD1:
-            return cls(method, num_scales, message_len)
-        factor = 2 ** (num_scales - 1)
-        if message_len % factor != 0:
-            raise ConfigurationError(
-                f"Method 1 with {num_scales} scales needs a message length "
-                f"divisible by {factor}, got {message_len}"
-            )
-        return cls(method, num_scales, message_len // factor)
 
-    @classmethod
-    def for_samples(cls, method: str, num_scales: int, num_samples: int):
-        """The spec whose synthesized frames have num_samples samples."""
-        if num_samples % 2**num_scales != 0:
-            raise ConfigurationError(f"sample count {num_samples} not divisible by 2^{num_scales}")
-        return cls(method, num_scales, num_samples // 2**num_scales)
-
-    @property
-    def message_length(self) -> int:
-        if self.method == METHOD1:
-            return self.base_length * 2 ** (self.num_scales - 1)
-        return self.base_length
-
-    @property
-    def num_samples(self) -> int:
-        """Samples in a synthesized frame: n0 * 2**M."""
-        return self.base_length * 2**self.num_scales
+def _place(a: np.ndarray, method: str, num_scales: int) -> np.ndarray:
+    frame = np.zeros(base_length(method, num_scales, len(a)) << num_scales)
+    for rows, sel in copies(frame, method, num_scales):
+        rows[:] = a[sel]
+    return frame
 
 
 def place_method1(a: np.ndarray, num_scales: int) -> np.ndarray:
     """Decimation placement of symbols a: scale m holds every
     2**(M-1-m)-th symbol."""
-    spec = PlacementSpec.for_message(METHOD1, num_scales, len(a))
-    decimated = [a[:: 2 ** (num_scales - 1 - m)] for m in range(num_scales)]
-    return np.concatenate([np.zeros(spec.base_length), *decimated])
+    return _place(a, METHOD1, num_scales)
 
 
 def place_method2(a: np.ndarray, num_scales: int) -> np.ndarray:
     """Repetition placement of symbols a: scale m holds 2**m periods of the
     message, so the levels together are 2**M - 1 back-to-back periods."""
-    spec = PlacementSpec.for_message(METHOD2, num_scales, len(a))
-    frame = np.zeros(spec.num_samples)
-    frame[len(a) :].reshape(-1, len(a))[:] = a
-    return frame
-
-
-def _check_frame(frame: np.ndarray, spec: PlacementSpec):
-    if len(frame) != spec.num_samples:
-        raise ConfigurationError(
-            f"frame length {len(frame)} does not match spec (M={spec.num_scales}, "
-            f"n0={spec.base_length}: {spec.num_samples})"
-        )
-
-
-def coefficient_symbol_map(spec: PlacementSpec) -> tuple[np.ndarray, ...]:
-    """Per scale, the message-symbol index that owns each detail coefficient.
-
-    The arrays together are as long as a frame, so a Modem builds them once
-    and passes them to each block; they are read-only because blocks share
-    them.
-    """
-    out = []
-    for m in range(spec.num_scales):
-        length = spec.base_length * 2**m
-        n = np.arange(length)
-        if spec.method == METHOD1:
-            owners = n * 2 ** (spec.num_scales - 1 - m)
-        else:
-            owners = n % spec.base_length
-        owners.flags.writeable = False
-        out.append(owners)
-    return tuple(out)
+    return _place(a, METHOD2, num_scales)

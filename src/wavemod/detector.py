@@ -8,26 +8,29 @@ decision, so the detector needs neither E0 nor sigma.
 
 import numpy as np
 
-from wavemod.codec import PlacementSpec, _check_frame, coefficient_symbol_map
-from wavemod.filterbank import level_slice
+from wavemod import codec
+from wavemod.errors import ConfigurationError
 
 
-def detect_block(frame: np.ndarray, spec: PlacementSpec, owners=None) -> np.ndarray:
-    """Per-symbol ML decisions over a demodulated frame.
-
-    owners is coefficient_symbol_map(spec), computed when not given.
+def detect_block(frame: np.ndarray, method: str, num_scales: int, message_len: int) -> np.ndarray:
+    """Per-symbol ML decisions over a demodulated frame: the placement
+    (codec.copies) run backwards.
 
     Bit 1 iff the sum of the symbol's copies is > 0 (ties go to bit 0).
-    The copy sums take one bincount pass per scale, added in scale order;
-    one pass over all scales would round differently. The per-symbol loop
-    in tests/naive_detector.py is the reference.
+    Each level's rows are summed in row order from zero, and the level
+    sums are added in scale order; another order would round differently.
+    The per-symbol loop in tests/naive_detector.py is the reference.
     """
-    _check_frame(frame, spec)
-    n_symbols = spec.message_length
-    sums = np.zeros(n_symbols)
-    if owners is None:
-        owners = coefficient_symbol_map(spec)
-    for m, level_owners in enumerate(owners):
-        level = frame[level_slice(spec.base_length, m)]
-        sums += np.bincount(level_owners, weights=level, minlength=n_symbols)
+    num_samples = codec.base_length(method, num_scales, message_len) << num_scales
+    if len(frame) != num_samples:
+        raise ConfigurationError(
+            f"frame length {len(frame)} does not match {method} with {num_scales} scales "
+            f"and {message_len} symbols ({num_samples})"
+        )
+    sums = np.zeros(message_len)
+    for rows, sel in codec.copies(frame, method, num_scales):
+        level_sum = np.zeros(rows.shape[1])
+        for row in rows:
+            level_sum += row
+        sums[sel] += level_sum
     return (sums > 0).astype(np.int64)

@@ -16,7 +16,7 @@ import numpy as np
 # the benchmark's tracer wraps functions by replacing module attributes,
 # and only in modules it lists, which do not include this one.
 from wavemod import codec, detector, filterbank, filters
-from wavemod.codec import METHOD1, METHOD2, PlacementSpec
+from wavemod.codec import METHOD1, METHOD2
 from wavemod.errors import ConfigurationError, ShapeError
 
 PAM = "pam"
@@ -36,10 +36,9 @@ class Modem:
     """One modulate/demodulate chain: method, scale count, message length,
     filter taps and per-copy symbol energy E0. PAM ignores scales and taps.
 
-    A modem owns the pyramid work areas and the detector's symbol map
-    that every block reuses, built on first use, so one Modem is not for
-    concurrent use. Pickling keeps only the constructor fields: the copy
-    builds its own work areas.
+    A modem owns the pyramid work areas that every block reuses, built on
+    first use, so one Modem is not for concurrent use. Pickling keeps only
+    the constructor fields: the copy builds its own work areas.
     """
 
     method: str
@@ -47,7 +46,6 @@ class Modem:
     message_len: int
     taps: int = 4
     symbol_energy: float = 1.0
-    spec: PlacementSpec = field(init=False, repr=False, compare=False)  # None for PAM
     filter_pair: filters.FilterPair = field(init=False, repr=False, compare=False)
     num_samples: int = field(init=False, repr=False, compare=False)  # per frame
 
@@ -64,21 +62,20 @@ class Modem:
             raise ConfigurationError(
                 f"symbol energy must be finite and > 0, got {self.symbol_energy}"
             )
-        spec, fp = None, None
+        fp = None
         if self.method == PAM:
             num_samples = self.message_len
         elif self.num_scales > _MAX_SCALES:
             num_samples = math.inf  # skips building 2**num_scales
         else:
-            spec = PlacementSpec.for_message(self.method, self.num_scales, self.message_len)
-            num_samples = spec.num_samples
+            n0 = codec.base_length(self.method, self.num_scales, self.message_len)
+            num_samples = n0 << self.num_scales
             fp = filters.make_daubechies(self.taps)
         if num_samples > MAX_FRAME_SAMPLES:
             raise ConfigurationError(
                 f"{self.method} with {self.num_scales} scales and {self.message_len} bits "
                 f"needs frames over the cap of {MAX_FRAME_SAMPLES} samples"
             )
-        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "filter_pair", fp)
         object.__setattr__(self, "num_samples", num_samples)
 
@@ -99,7 +96,14 @@ class Modem:
         # A PAM frame is the message; a depth out of range is left for the
         # constructor to reject.
         if method in (METHOD1, METHOD2) and 1 <= num_scales <= _MAX_SCALES:
-            message_len = PlacementSpec.for_samples(method, num_scales, num_samples).message_length
+            if num_samples % 2**num_scales != 0:
+                raise ConfigurationError(
+                    f"sample count {num_samples} not divisible by 2^{num_scales}"
+                )
+            # n0 = N / 2**M coarse samples; Method 1 carries 2**(M-1) symbols per n0.
+            message_len = num_samples >> num_scales
+            if method == METHOD1:
+                message_len <<= num_scales - 1
         return cls(method, num_scales, message_len, taps)
 
     def modulate(self, bits) -> np.ndarray:
@@ -121,12 +125,12 @@ class Modem:
         """One frame of samples -> message_len detected bits (int64)."""
         if len(samples) != self.num_samples:
             raise ShapeError(f"frame has {len(samples)} samples, expected {self.num_samples}")
-        if self.spec is None:
+        if self.method == PAM:
             return (np.asarray(samples) > 0).astype(np.int64)
         frame = filterbank.analyze_pyramid(
             samples, self.num_scales, self.filter_pair, self._analysis_work
         )
-        return detector.detect_block(frame, self.spec, self._symbol_map)
+        return detector.detect_block(frame, self.method, self.num_scales, self.message_len)
 
     @cached_property
     def _synthesis_work(self) -> np.ndarray:
@@ -135,7 +139,3 @@ class Modem:
     @cached_property
     def _analysis_work(self) -> np.ndarray:
         return filterbank.analysis_work(self.num_samples, self.filter_pair)
-
-    @cached_property
-    def _symbol_map(self) -> tuple[np.ndarray, ...]:
-        return codec.coefficient_symbol_map(self.spec)

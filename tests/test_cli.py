@@ -409,6 +409,33 @@ def test_undecodable_input_is_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, limit", [("modulate", 100_000), ("demodulate", 500)])
+def test_failed_write_leaves_no_partial_output(tmp_path, command, limit):
+    """A write that fails part way (here: over the child's file-size limit)
+    leaves an existing --out file as it was and no other file behind."""
+    a = ["--method", "wm2", "--scales", "6"]
+    write_bits(tmp_path / "bits.txt", np.random.default_rng(5).integers(0, 2, 512))
+    assert main(["modulate", str(tmp_path / "bits.txt"), "--out", str(tmp_path / "s.txt"), *a]) == 0
+    src = "bits.txt" if command == "modulate" else "s.txt"
+    out = tmp_path / "out.txt"
+    out.write_text("old\n")
+    before = sorted(tmp_path.iterdir())
+    code = (
+        "import resource, signal, sys\n"
+        "import wavemod.cli as c\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        f"sys.exit(c.main({[command, src, '--out', 'out.txt', *a]!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "I/O error" in done.stderr and "Traceback" not in done.stderr
+    assert out.read_text() == "old\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_ber_sweep_failure_mid_run_leaves_no_output(tmp_path, monkeypatch, capsys):
     real = cli.run_monte_carlo
     calls = []

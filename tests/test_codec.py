@@ -7,8 +7,6 @@ from naive_detector import gather_observations
 from wavemod.codec import (
     METHOD1,
     METHOD2,
-    PlacementSpec,
-    coefficient_symbol_map,
     place_method1,
     place_method2,
     symbols,
@@ -103,6 +101,8 @@ def test_method1_frame_matches_per_level_decimation(num_scales):
 def test_method1_divisibility():
     with pytest.raises(ConfigurationError, match="divisible by 4"):
         place_method1(symbols(np.zeros(6, dtype=int), 1.0), 3)
+    with pytest.raises(ConfigurationError, match="num_scales"):
+        place_method1(symbols(np.zeros(6, dtype=int), 1.0), 0)
 
 
 def test_method2_two_scales():
@@ -119,6 +119,8 @@ def test_method2_degenerate_single_symbol():
     assert [len(d) for d in details] == [1, 2, 4]
     assert sum(len(d) for d in details) == 2**3 - 1
     assert all(np.all(d == 1.0) for d in details)
+    with pytest.raises(ConfigurationError, match="message_len"):
+        place_method2(symbols(np.array([], dtype=int), 1.0), 3)
 
 
 @pytest.mark.parametrize("length,num_scales", [(1, 1), (3, 2), (5, 4), (7, 6)])
@@ -134,15 +136,14 @@ def test_method2_frame_matches_tiled_levels(length, num_scales):
 def test_method2_copy_count(length, num_scales):
     bits = np.random.default_rng(length).integers(0, 2, length)
     frame = place_method2(symbols(bits, 1.0), num_scales)
-    spec = PlacementSpec(METHOD2, num_scales, length)
-    obs = gather_observations(frame, spec)
+    obs = gather_observations(frame, METHOD2, num_scales, length)
     assert all(len(o.copies) == 2**num_scales - 1 for o in obs)
 
 
 def test_method1_copy_counts():
     bits = np.random.default_rng(0).integers(0, 2, 16)
     frame = place_method1(symbols(bits, 1.0), 3)
-    obs = gather_observations(frame, PlacementSpec(METHOD1, 3, 4))
+    obs = gather_observations(frame, METHOD1, 3, 16)
     # copy count = 1 + min(v2(k), M-1)
     assert len(obs[4].copies) == 3
     for k in range(1, 16, 2):
@@ -155,7 +156,7 @@ def test_method1_copy_count_census():
     n = n0 * 2 ** (num_scales - 1)
     bits = np.random.default_rng(1).integers(0, 2, n)
     frame = place_method1(symbols(bits, 1.0), num_scales)
-    obs = gather_observations(frame, PlacementSpec(METHOD1, num_scales, n0))
+    obs = gather_observations(frame, METHOD1, num_scales, n)
     counts = np.bincount([len(o.copies) for o in obs])
     # N/2 symbols with 1 copy, N/4 with 2, ..., residue class gets M copies.
     assert counts[1] == n // 2
@@ -183,8 +184,7 @@ def test_noiseless_round_trip_by_sign(method, place):
     num_scales = 4
     bits = rng.integers(0, 2, 16 if method == METHOD1 else 5)
     frame = place(symbols(bits, 0.25), num_scales)
-    base = 2 if method == METHOD1 else 5
-    obs = gather_observations(frame, PlacementSpec(method, num_scales, base))
+    obs = gather_observations(frame, method, num_scales, len(bits))
     recovered = [int(np.sum(o.copies) > 0) for o in obs]
     assert np.array_equal(recovered, bits)
 
@@ -192,19 +192,5 @@ def test_noiseless_round_trip_by_sign(method, place):
 def test_gather_shape_mismatch():
     frame = place_method2(symbols(np.array([1, 0]), 1.0), 2)
     with pytest.raises(ConfigurationError, match="does not match"):
-        gather_observations(frame, PlacementSpec(METHOD2, 3, 2))
+        gather_observations(frame, METHOD2, 3, 2)
 
-
-def test_symbol_map_is_cached_and_read_only():
-    # The modem that uses the map caches it; a module-level cache kept
-    # frame-sized maps alive after their modem was gone.
-    modem = Modem(METHOD2, 3, 4)
-    owners = modem._symbol_map
-    assert modem._symbol_map is owners
-    assert coefficient_symbol_map(modem.spec) is not owners
-    assert [o.tolist() for o in owners] == [
-        [0, 1, 2, 3], [0, 1, 2, 3] * 2, [0, 1, 2, 3] * 4
-    ]
-    for o in owners:
-        with pytest.raises(ValueError):
-            o[0] = 1

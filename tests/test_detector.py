@@ -8,7 +8,6 @@ from wavemod.channel import NoiseSpec, add_awgn
 from wavemod.codec import (
     METHOD1,
     METHOD2,
-    PlacementSpec,
     place_method1,
     place_method2,
     symbols,
@@ -83,26 +82,39 @@ def test_noiseless_round_trip(method, place, msg_len, num_scales):
     bits = rng.integers(0, 2, msg_len)
     fp = make_daubechies(4)
     frame = place(symbols(bits, 1.0), num_scales)
-    base = len(frame) >> num_scales
     block = synthesize_pyramid(frame, num_scales, fp)
     back = analyze_pyramid(block, num_scales, fp)
-    detected = detect_block(back, PlacementSpec(method, num_scales, base))
+    detected = detect_block(back, method, num_scales, msg_len)
     assert np.array_equal(detected, bits)
 
 
 def test_detect_block_matches_gather_plus_ml_decide():
+    # Noisy frames, and half-integer frames: on those every summation order
+    # is exact, so the exact ties check that a tie goes to bit 0.
     rng = np.random.default_rng(21)
     fp = make_daubechies(4)
-    for method, place, msg_len in ((METHOD1, place_method1, 32), (METHOD2, place_method2, 8)):
-        bits = rng.integers(0, 2, msg_len)
-        frame = place(symbols(bits, 1.0), 4)
-        block = synthesize_pyramid(frame, 4, fp)
-        noisy = add_awgn(block, NoiseSpec(sigma=1.0, seed=99))
-        back = analyze_pyramid(noisy, 4, fp)
-        spec = PlacementSpec(method, 4, len(frame) >> 4)
-        fast = detect_block(back, spec)
-        slow = [ml_decide(o, 1.0, 1.0).bit for o in gather_observations(back, spec)]
-        assert np.array_equal(fast, slow)
+    ties = 0
+    for method, place in ((METHOD1, place_method1), (METHOD2, place_method2)):
+        for num_scales in (1, 3, 6):
+            for n0 in (1, 3):
+                msg_len = n0 * 2 ** (num_scales - 1) if method == METHOD1 else n0
+                bits = rng.integers(0, 2, msg_len)
+                frame = place(symbols(bits, 1.0), num_scales)
+                block = synthesize_pyramid(frame, num_scales, fp)
+                noisy = add_awgn(block, NoiseSpec(sigma=1.0, seed=99))
+                back = analyze_pyramid(noisy, num_scales, fp)
+                halves = rng.integers(-2, 3, (8, len(frame))) / 2.0
+                for received in (back, *halves):
+                    fast = detect_block(received, method, num_scales, msg_len)
+                    obs = gather_observations(received, method, num_scales, msg_len)
+                    slow = [ml_decide(o, 1.0, 1.0).bit for o in obs]
+                    assert np.array_equal(fast, slow)
+                    ties += sum(np.sum(o.copies) == 0 for o in obs)
+    assert ties > 0
+    with pytest.raises(ConfigurationError, match="unknown placement method"):
+        detect_block(np.zeros(16), "pam", 3, 2)
+    with pytest.raises(ConfigurationError, match="divisible by 4"):
+        detect_block(np.zeros(16), METHOD1, 3, 6)
 
 
 def test_single_scale_reduces_to_sign_detector():
@@ -111,7 +123,7 @@ def test_single_scale_reduces_to_sign_detector():
     frame = place_method1(symbols(bits, 1.0), 1)
     noisy_details = frame[level_slice(16, 0)] + rng.normal(0, 2.0, 16)
     frame2 = np.concatenate([frame[:16], noisy_details])
-    detected = detect_block(frame2, PlacementSpec(METHOD1, 1, 16))
+    detected = detect_block(frame2, METHOD1, 1, 16)
     assert np.array_equal(detected, (noisy_details > 0).astype(int))
 
 
@@ -121,7 +133,7 @@ def test_one_corrupted_copy_out_of_seven_survives():
     bits = np.array([1])
     frame = place_method2(symbols(bits, 1.0), 3)
     frame[level_slice(1, 2)][3] = -5.9  # clean copies are +1 each
-    detected = detect_block(frame, PlacementSpec(METHOD2, 3, 1))
+    detected = detect_block(frame, METHOD2, 3, 1)
     assert detected[0] == 1
 
 
@@ -129,7 +141,7 @@ def test_one_corrupted_copy_out_of_seven_survives():
 def test_detect_block_rejects_wrong_frame_length(length):
     # Method 2, M=3, n0=2 frames have 16 coefficients.
     with pytest.raises(ConfigurationError, match="does not match"):
-        detect_block(np.zeros(length), PlacementSpec(METHOD2, 3, 2))
+        detect_block(np.zeros(length), METHOD2, 3, 2)
 
 
 def test_decision_fields():

@@ -1,0 +1,75 @@
+"""The deterministic outputs that every refactor must keep byte-identical.
+
+A change that alters one of these on purpose says why and updates the pin
+in the same commit.
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from wavemod.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+CRITERION_8 = [
+    "--method", "wm1,wm2,pam", "--scales", "4", "--message-len", "64",
+    "--snr-grid=-6:2:2", "--min-errors", "100", "--max-trials", "100", "--seed", "42",
+]
+TAPS_6 = [
+    "--method", "wm1,wm2,pam", "--scales", "6", "--message-len", "512",
+    "--snr-grid=-12:4:2", "--min-errors", "100", "--max-trials", "20",
+    "--taps", "6", "--seed", "7",
+]
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def sweep(tmp_path, flags, *extra):
+    out = tmp_path / "ber.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ber-sweep", *flags, "--out", str(out), *extra]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "flags, csv_sha, svg_sha",
+    [
+        (
+            CRITERION_8,
+            "fae2a4f3af5f6a83ce16900b8b031bf45f5bff1479ae04dfd9079a8ed1b23612",
+            "3969f695725d7a1d5e9b9377d58855b577c962deeaedd89e691aef4c3e3e2553",
+        ),
+        (
+            TAPS_6,
+            "c956b6c80738ec71d7788d0bff678a6115e1ac01eb65d6dff14fc1fa98a176bb",
+            "f34f572c8339ddc0b7828ed29c9e44365d628fe7af2b56a349b968067da28199",
+        ),
+    ],
+    ids=["criterion-8", "taps-6"],
+)
+def test_sweep_bytes_are_pinned(tmp_path, flags, csv_sha, svg_sha):
+    out = sweep(tmp_path, flags, "--plot")
+    assert sha256(out) == csv_sha
+    assert sha256(out.with_suffix(".svg")) == svg_sha
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("workload", ["sweep-wm2", "sweep-wm1"])
+def test_benchmark_sweeps_match_reference(tmp_path, workload, seed):
+    """The benchmark's sweeps give the rows its stored reference pins."""
+    reference = json.loads(REFERENCE.read_text())[workload]
+    out = sweep(tmp_path, reference["flags"], "--seed", str(seed))
+    with open(out, newline="") as handle:
+        rows = [
+            [r["method"], r["snr_db_per_copy"], int(r["trials"]), int(r["errors"])]
+            for r in csv.DictReader(handle)
+        ]
+    assert rows == reference["rows"][str(seed)]

@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -119,11 +116,3 @@ def test_block_length_must_match():
     with pytest.raises(ShapeError, match="samples"):
         Modem("pam", 1, 4).demodulate(np.zeros(3))
 
-
-def test_symbol_map_dies_with_its_modem():
-    modem = Modem.for_samples("wm2", 3, 64)
-    modem.demodulate(np.zeros(64))
-    owners = weakref.ref(modem._symbol_map[0])
-    del modem
-    gc.collect()
-    assert owners() is None
