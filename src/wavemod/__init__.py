@@ -22,7 +22,7 @@ from wavemod.codec import (
     place_method1,
     place_method2,
 )
-from wavemod.channel import NoiseSpec, add_awgn
+from wavemod.channel import add_awgn
 from wavemod.detector import detect_block
 from wavemod.modem import Modem
 from wavemod.ber import BerPoint, ExperimentConfig, run_monte_carlo
@@ -45,7 +45,6 @@ __all__ = [
     "METHOD1",
     "METHOD2",
     "Modem",
-    "NoiseSpec",
     "ShapeError",
     "add_awgn",
     "analysis_step",

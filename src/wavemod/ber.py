@@ -5,14 +5,14 @@ wavemod.theory.
 SNR throughout is per-copy: E0 / sigma^2, in dB as 10*log10(E0/sigma^2).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, isfinite, log10, sqrt
 from numbers import Integral
 
 import numpy as np
 
 from wavemod import _helpers
-from wavemod.channel import NoiseSpec, add_awgn
+from wavemod.channel import add_awgn
 from wavemod.codec import METHOD1
 from wavemod.errors import ConfigurationError
 from wavemod.modem import Modem
@@ -33,27 +33,31 @@ class BerPoint:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    method: str
-    num_scales: int
-    message_len: int
-    symbol_energy: float
+    """One modem over an SNR grid (dB, per copy), with the stop rule and
+    the seed. The modem checks method, scales, length, taps and energy."""
+
+    modem: Modem
     snr_grid_db: tuple
     min_errors: int = 200
     max_trials: int = 100_000
     seed: int = 0
-    wavelet_taps: int = 4
-    modem: Modem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The modem checks method, scales, message length, taps and energy.
-        modem = Modem(
-            self.method, self.num_scales, self.message_len, self.wavelet_taps, self.symbol_energy
-        )
-        object.__setattr__(self, "modem", modem)
         if len(self.snr_grid_db) == 0:
             raise ConfigurationError("snr_grid_db must be nonempty")
         if not all(map(isfinite, self.snr_grid_db)):
             raise ConfigurationError("SNR grid points must be finite")
+        energy = self.modem.symbol_energy
+        for snr_db in self.snr_grid_db:
+            try:
+                ok = all(v > 0 and isfinite(v) for v in _noise_level(energy, snr_db))
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ConfigurationError(
+                    f"SNR point {snr_db} dB at symbol energy {energy} "
+                    "gives a linear SNR or noise level that is not finite and > 0"
+                )
         for name in ("seed", "min_errors", "max_trials"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
@@ -66,13 +70,20 @@ class ExperimentConfig:
             raise ConfigurationError("max_trials must be >= 1")
 
 
-# Stream-id tags keeping the noise and message substreams disjoint.
+def _noise_level(energy: float, snr_db: float) -> tuple:
+    """(linear SNR, noise sigma) of a grid point: snr = E0 / sigma^2."""
+    snr = 10.0 ** (snr_db / 10.0)
+    return snr, sqrt(energy / snr)
+
+
+# Stream tags keeping the noise and message substreams disjoint.
 _NOISE_TAG = 1 << 62
 _MESSAGE_TAG = 2
 
 
-def _stream_id(point_index: int, block_index: int) -> int:
-    return _NOISE_TAG | (point_index << 40) | block_index
+def _stream(*words: int) -> "np.random.Generator":
+    """The generator of the substream that the words name."""
+    return np.random.default_rng(np.random.SeedSequence(list(words)))
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[BerPoint]:
@@ -98,23 +109,19 @@ def _run_point(cfg: ExperimentConfig, pt: int) -> BerPoint:
     """One grid point of run_monte_carlo: blocks until its stop rule."""
     modem = cfg.modem
     snr_db = cfg.snr_grid_db[pt]
-    snr = 10.0 ** (snr_db / 10.0)
-    theory = float(ber_theory(cfg.method, cfg.num_scales, snr))
-    sigma = sqrt(cfg.symbol_energy / snr)
+    snr, sigma = _noise_level(modem.symbol_energy, snr_db)
+    theory = float(ber_theory(modem.method, modem.num_scales, snr))
     errors = 0
     blocks = 0
     while errors < cfg.min_errors and blocks < cfg.max_trials:
-        bit_rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, _MESSAGE_TAG, pt, blocks])
-        )
-        bits = bit_rng.integers(0, 2, cfg.message_len)
-        nspec = NoiseSpec(sigma=sigma, seed=cfg.seed, stream_id=_stream_id(pt, blocks))
-        detected = modem.demodulate(add_awgn(modem.modulate(bits), nspec))
+        bits = _stream(cfg.seed, _MESSAGE_TAG, pt, blocks).integers(0, 2, modem.message_len)
+        noise = _stream(cfg.seed, _NOISE_TAG | pt << 40 | blocks)
+        detected = modem.demodulate(add_awgn(modem.modulate(bits), sigma, noise))
         errors += int(np.sum(detected != bits))
         blocks += 1
 
-    trials = blocks * cfg.message_len
-    ideal = float(ber_method1_ideal(cfg.num_scales, snr)) if cfg.method == METHOD1 else None
+    trials = blocks * modem.message_len
+    ideal = float(ber_method1_ideal(modem.num_scales, snr)) if modem.method == METHOD1 else None
     return BerPoint(
         snr_db=snr_db,
         ber_theory=theory,
@@ -129,8 +136,9 @@ def _predicted_blocks(cfg: ExperimentConfig, pt: int) -> int:
     """Blocks the stop rule is expected to send at a point: enough for
     min_errors errors at the theory BER, at most max_trials. It only
     steers the schedule."""
-    snr = 10.0 ** (cfg.snr_grid_db[pt] / 10.0)
-    errors_per_block = float(ber_theory(cfg.method, cfg.num_scales, snr)) * cfg.message_len
+    modem = cfg.modem
+    snr, _ = _noise_level(modem.symbol_energy, cfg.snr_grid_db[pt])
+    errors_per_block = float(ber_theory(modem.method, modem.num_scales, snr)) * modem.message_len
     if errors_per_block * cfg.max_trials <= cfg.min_errors:
         return cfg.max_trials
     return ceil(cfg.min_errors / errors_per_block)

@@ -222,17 +222,12 @@ def cmd_ber_sweep(args) -> int:
         raise ConfigurationError(f"config key 'energy': {settings['energy']!r} is not a number")
     # Every config is validated before the output is opened, so a bad one
     # leaves no file behind.
+    message_len, min_errors, max_trials, taps = (
+        _int_setting(settings, key) for key in ("message_len", "min_errors", "max_trials", "taps")
+    )
     configs = [
         ExperimentConfig(
-            method=method,
-            num_scales=scales,
-            message_len=_int_setting(settings, "message_len"),
-            symbol_energy=energy,
-            snr_grid_db=grid,
-            min_errors=_int_setting(settings, "min_errors"),
-            max_trials=_int_setting(settings, "max_trials"),
-            seed=seed,
-            wavelet_taps=_int_setting(settings, "taps"),
+            Modem(method, scales, message_len, taps, energy), grid, min_errors, max_trials, seed
         )
         for method in methods
     ]
@@ -249,7 +244,7 @@ def cmd_ber_sweep(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for cfg in configs:
-            method = cfg.method
+            method = cfg.modem.method
             points = run_monte_carlo(cfg)
             shift = 10.0 * float(np.log10(energy_per_symbol_factor(method, scales)))
             for p in points:

@@ -107,7 +107,8 @@ def ber_method1_ideal(num_scales: int, snr):
     An optimistic lower bound for the realizable chain, where copy counts
     vary by symbol index; see ber_method1_exact.
     """
-    return q_function(np.sqrt(num_scales * np.asarray(snr, dtype=np.float64)))
+    with np.errstate(over="ignore"):  # copies * snr may be inf; Q(inf) = 0
+        return q_function(np.sqrt(num_scales * np.asarray(snr, dtype=np.float64)))
 
 
 def ber_method1_exact(num_scales: int, snr):
@@ -119,16 +120,18 @@ def ber_method1_exact(num_scales: int, snr):
     """
     snr = np.asarray(snr, dtype=np.float64)
     total = np.zeros_like(snr)
-    for c in range(1, num_scales):
-        total = total + 2.0**-c * q_function(np.sqrt(c * snr))
-    total = total + 2.0 ** -(num_scales - 1) * q_function(np.sqrt(num_scales * snr))
+    with np.errstate(over="ignore"):  # copies * snr may be inf; Q(inf) = 0
+        for c in range(1, num_scales):
+            total = total + 2.0**-c * q_function(np.sqrt(c * snr))
+        total = total + 2.0 ** -(num_scales - 1) * q_function(np.sqrt(num_scales * snr))
     return total
 
 
 def ber_method2(num_scales: int, snr):
     """Method 2 BER: Q(sqrt(K*snr)) with K = 2**M - 1 copies per symbol."""
     k = 2**num_scales - 1
-    return q_function(np.sqrt(k * np.asarray(snr, dtype=np.float64)))
+    with np.errstate(over="ignore"):  # copies * snr may be inf; Q(inf) = 0
+        return q_function(np.sqrt(k * np.asarray(snr, dtype=np.float64)))
 
 
 def ber_theory(method: str, num_scales: int, snr):

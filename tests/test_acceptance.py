@@ -13,10 +13,11 @@ from scipy.optimize import brentq
 from scipy.special import erfcinv
 
 from wavemod.ber import ExperimentConfig, run_monte_carlo, snr_at_ber
-from wavemod.channel import NoiseSpec, add_awgn
+from wavemod.channel import add_awgn
 from wavemod.cli import main
 from wavemod.filterbank import analyze_pyramid, level_slice, synthesize_pyramid
 from wavemod.filters import make_daubechies, validate_filter_pair
+from wavemod.modem import Modem
 from wavemod.theory import ber_method1_exact, ber_method1_ideal, ber_method2, ber_pam, q_function
 
 
@@ -82,7 +83,8 @@ def test_criterion_4_noise_whiteness():
     blocks = int(np.ceil(1e6 / block_len))
     per_scale = [[] for _ in range(num_scales)]
     for b in range(blocks):
-        noisy = add_awgn(np.zeros(block_len), NoiseSpec(1.0, 77, b))
+        noise = np.random.default_rng(np.random.SeedSequence([77, b]))
+        noisy = add_awgn(np.zeros(block_len), 1.0, noise)
         frame = analyze_pyramid(noisy, num_scales, fp)
         for m in range(num_scales):
             per_scale[m].append(frame[level_slice(n0, m)])
@@ -122,10 +124,7 @@ def _run_point(method, num_scales, message_len, snr, theory_p, seed):
     snr_db = 10 * math.log10(snr)
     blocks_needed = int(np.ceil(200 / theory_p / message_len)) * 3 + 10
     cfg = ExperimentConfig(
-        method=method,
-        num_scales=num_scales,
-        message_len=message_len,
-        symbol_energy=1.0,
+        Modem(method, num_scales, message_len, symbol_energy=1.0),
         snr_grid_db=(snr_db,),
         min_errors=200,
         max_trials=blocks_needed,
@@ -182,10 +181,7 @@ def test_criterion_7_fig3_qualitative():
         center = 10 * math.log10(_snr_for_target(theory, 0.1))
         grid = tuple(center + d for d in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
         cfg = ExperimentConfig(
-            method=method,
-            num_scales=num_scales,
-            message_len=message_len,
-            symbol_energy=1.0,
+            Modem(method, num_scales, message_len, symbol_energy=1.0),
             snr_grid_db=grid,
             min_errors=2000,
             max_trials=500,

@@ -18,6 +18,7 @@ import wavemod.ber as ber
 
 from wavemod import _helpers
 from wavemod.ber import ExperimentConfig, run_monte_carlo, snr_at_ber
+from wavemod.modem import Modem
 from wavemod.theory import (
     ber_method1_exact,
     ber_method1_ideal,
@@ -138,6 +139,10 @@ def test_method2_beats_ideal_method1():
 def test_pam_limits():
     assert float(ber_pam(1e6)) < 1e-12
     assert float(ber_pam(1e-9)) == pytest.approx(0.5, abs=1e-4)
+    # copies * snr overflows to inf here, which used to warn; Q(inf) = 0.
+    assert ber_method2(6, 1e308) == 0.0
+    assert ber_method1_exact(6, 1e308) == 0.0
+    assert ber_method1_ideal(6, 1e308) == 0.0
 
 
 def test_theory_range_and_monotonicity():
@@ -156,7 +161,7 @@ def test_energy_factors():
 
 def test_high_snr_run_has_no_errors():
     cfg = ExperimentConfig(
-        method="wm2", num_scales=3, message_len=100, symbol_energy=1.0,
+        Modem("wm2", num_scales=3, message_len=100, symbol_energy=1.0),
         snr_grid_db=(40.0,), min_errors=1, max_trials=100, seed=1,
     )
     [point] = run_monte_carlo(cfg)
@@ -168,7 +173,7 @@ def test_method2_matches_theory():
     # K*snr = 4 -> theory Q(2)
     snr_db = 10 * math.log10(4.0 / 3.0)
     cfg = ExperimentConfig(
-        method="wm2", num_scales=2, message_len=50, symbol_energy=1.0,
+        Modem("wm2", num_scales=2, message_len=50, symbol_energy=1.0),
         snr_grid_db=(snr_db,), min_errors=200, max_trials=2000, seed=3,
     )
     [point] = run_monte_carlo(cfg)
@@ -179,7 +184,7 @@ def test_method2_matches_theory():
 
 def test_method1_matches_exact_mixture():
     cfg = ExperimentConfig(
-        method="wm1", num_scales=2, message_len=64, symbol_energy=1.0,
+        Modem("wm1", num_scales=2, message_len=64, symbol_energy=1.0),
         snr_grid_db=(0.0,), min_errors=200, max_trials=2000, seed=4,
     )
     [point] = run_monte_carlo(cfg)
@@ -191,7 +196,7 @@ def test_method1_matches_exact_mixture():
 
 def test_seed_reproducibility():
     cfg = ExperimentConfig(
-        method="wm1", num_scales=3, message_len=32, symbol_energy=2.0,
+        Modem("wm1", num_scales=3, message_len=32, symbol_energy=2.0),
         snr_grid_db=(0.0, 3.0), min_errors=50, max_trials=100, seed=12,
     )
     assert run_monte_carlo(cfg) == run_monte_carlo(cfg)
@@ -199,11 +204,11 @@ def test_seed_reproducibility():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError, match="divisible"):
-        ExperimentConfig("wm1", 4, 100, 1.0, (0.0,))
+        ExperimentConfig(Modem("wm1", 4, 100), (0.0,))
     with pytest.raises(ConfigurationError, match="method"):
-        ExperimentConfig("qam", 4, 64, 1.0, (0.0,))
+        ExperimentConfig(Modem("qam", 4, 64), (0.0,))
     with pytest.raises(ConfigurationError, match="nonempty"):
-        ExperimentConfig("pam", 1, 64, 1.0, ())
+        ExperimentConfig(Modem("pam", 1, 64), ())
 
 
 @pytest.mark.parametrize(
@@ -213,13 +218,27 @@ def test_config_validation():
         ((-math.inf, 0.0), 0, "finite"),
         ((math.inf,), 0, "finite"),
         ((0.0,), -1, "seed"),
+        ((0.0, 4000.0), 0, "SNR point 4000.0 dB"),
+        ((0.0, -4000.0), 0, "SNR point -4000.0 dB"),
+        ((-3100.0,), 0, "SNR point -3100.0 dB"),
     ],
 )
 def test_config_rejects_bad_grid_and_seed(grid, seed, message):
     # A negative seed used to fail in numpy's SeedSequence; a nan point gave
-    # nan theory and -inf a ZeroDivisionError.
+    # nan theory and -inf a ZeroDivisionError. A finite point whose linear
+    # SNR overflowed (4000 dB) or underflowed to 0 (-4000 dB) raised
+    # OverflowError or ZeroDivisionError, and one whose noise level was
+    # infinite (-3100 dB) failed only inside the sweep.
     with pytest.raises(ConfigurationError, match=message):
-        ExperimentConfig("wm2", 2, 8, 1.0, grid, seed=seed)
+        ExperimentConfig(Modem("wm2", 2, 8), grid, seed=seed)
+
+
+@pytest.mark.parametrize("snr_db, energy", [(-300.0, 1e300), (3000.0, 1e-300)])
+def test_config_rejects_noise_level_out_of_range(snr_db, energy):
+    # sigma = sqrt(E0 / snr) was infinite or 0 here: the first failed only
+    # inside the sweep, the second ran noiseless.
+    with pytest.raises(ConfigurationError, match=f"SNR point {snr_db} dB"):
+        ExperimentConfig(Modem("wm2", 2, 8, symbol_energy=energy), (0.0, snr_db))
 
 
 @pytest.mark.parametrize(
@@ -237,12 +256,12 @@ def test_config_rejects_non_integer_counts(field, value):
     # seed=1.5 used to fail inside numpy's SeedSequence, and min_errors=1.5
     # with max_trials=2.5 ran 3 blocks.
     with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
-        ExperimentConfig("wm2", 2, 8, 1.0, (0.0,), **{field: value})
+        ExperimentConfig(Modem("wm2", 2, 8), (0.0,), **{field: value})
 
 
 def test_config_accepts_numpy_integer_counts():
     cfg = ExperimentConfig(
-        "wm2", 2, 8, 1.0, (0.0,), min_errors=np.int64(1), max_trials=np.int32(2),
+        Modem("wm2", 2, 8), (0.0,), min_errors=np.int64(1), max_trials=np.int32(2),
         seed=np.uint8(3),
     )
     assert len(run_monte_carlo(cfg)) == 1
@@ -267,7 +286,7 @@ for _ in range(20):
     bits = rng.integers(0, 2, 512)
     samples = Modem("wm2", 6, 512, 4, 2.5).modulate(bits)
     assert (Modem.for_samples("wm2", 6, len(samples), 4).demodulate(samples) == bits).all()
-cfg = ExperimentConfig("wm2", 6, 512, 1.0, (-12.0, -9.0), min_errors=100, max_trials=10)
+cfg = ExperimentConfig(Modem("wm2", 6, 512), (-12.0, -9.0), min_errors=100, max_trials=10)
 run_monte_carlo(cfg)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 blocks = sum(p.trials for p in run_monte_carlo(cfg)) // 512
@@ -295,7 +314,7 @@ def test_snr_at_ber_inversion():
 
 
 def test_pickled_config_carries_no_work_areas():
-    cfg = ExperimentConfig("wm2", 6, 512, 1.0, (-12.0, -9.0), min_errors=50, max_trials=3)
+    cfg = ExperimentConfig(Modem("wm2", 6, 512), (-12.0, -9.0), min_errors=50, max_trials=3)
     points = run_monte_carlo(cfg)
     data = pickle.dumps(cfg)
     assert len(data) < 2048  # about 918 kB while the modem pickled its work areas
@@ -318,11 +337,11 @@ def use_workers(monkeypatch, count):
 # Each grid has points that stop on min_errors and points that stop on
 # max_trials (checked in test_points_do_not_depend_on_worker_count).
 PARALLEL_CONFIGS = {
-    "wm1": ExperimentConfig("wm1", 3, 16, 1.0, (-2.0, 1.0, 4.0, 7.0, 10.0),
+    "wm1": ExperimentConfig(Modem("wm1", 3, 16), (-2.0, 1.0, 4.0, 7.0, 10.0),
                             min_errors=20, max_trials=25, seed=5),
-    "wm2": ExperimentConfig("wm2", 2, 16, 1.0, (-6.0, -3.0, 0.0, 3.0),
+    "wm2": ExperimentConfig(Modem("wm2", 2, 16), (-6.0, -3.0, 0.0, 3.0),
                             min_errors=20, max_trials=25, seed=6),
-    "pam": ExperimentConfig("pam", 1, 32, 1.0, (0.0, 3.0, 6.0, 9.0),
+    "pam": ExperimentConfig(Modem("pam", 1, 32), (0.0, 3.0, 6.0, 9.0),
                             min_errors=20, max_trials=25, seed=7),
 }
 
@@ -339,7 +358,7 @@ def test_points_do_not_depend_on_worker_count(monkeypatch, fresh_helpers, method
     cfg = PARALLEL_CONFIGS[method]
     want = sequential_points(monkeypatch, cfg)
     assert any(p.errors >= cfg.min_errors for p in want)
-    assert any(p.trials == cfg.max_trials * cfg.message_len and p.errors < cfg.min_errors
+    assert any(p.trials == cfg.max_trials * cfg.modem.message_len and p.errors < cfg.min_errors
                for p in want)
     for workers in (2, 3, len(cfg.snr_grid_db) + 2):
         use_workers(monkeypatch, workers)
@@ -350,7 +369,7 @@ def test_points_do_not_depend_on_worker_count(monkeypatch, fresh_helpers, method
 def test_sweep_wm2_schedule():
     """The benchmark's sweep: predicted blocks 9/16/33/40 (8/16/29/40 are
     sent), longest first to the lighter share."""
-    cfg = ExperimentConfig("wm2", 6, 512, 1.0, (-12.0, -11.0, -10.0, -9.0),
+    cfg = ExperimentConfig(Modem("wm2", 6, 512), (-12.0, -11.0, -10.0, -9.0),
                            min_errors=100, max_trials=40)
     assert [ber._predicted_blocks(cfg, pt) for pt in range(4)] == [9, 16, 33, 40]
     assert ber._shares(cfg, 2) == [[3, 0], [2, 1]]

@@ -243,6 +243,16 @@ def test_ber_sweep_config_file(tmp_path):
         (["--snr-grid=0:1e8:1"], "SNR grid"),
         (["--snr-grid=0:1e300:1e-300"], "SNR grid"),
         (["--seed=-1"], "seed"),
+        # Linear SNR overflows, or underflows to 0: used to end in a traceback.
+        (["--method", "wm2,pam", "--scales", "2", "--message-len", "8", "--snr-grid=4000"],
+         "SNR point 4000.0 dB"),
+        (["--method", "wm2,pam", "--scales", "2", "--message-len", "8", "--snr-grid=-4000"],
+         "SNR point -4000.0 dB"),
+        # Infinite noise level: used to be rejected only inside the sweep.
+        (["--method", "wm2,pam", "--scales", "2", "--message-len", "8", "--snr-grid=-3100"],
+         "SNR point -3100.0 dB"),
+        (["--method", "wm2,pam", "--scales", "2", "--message-len", "8", "--snr-grid=-300",
+          "--energy=1e300"], "SNR point -300.0 dB"),
     ],
 )
 def test_ber_sweep_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
@@ -441,7 +451,7 @@ def test_ber_sweep_failure_mid_run_leaves_no_output(tmp_path, monkeypatch, capsy
     calls = []
 
     def fail_on_second(cfg):
-        calls.append(cfg.method)
+        calls.append(cfg.modem.method)
         if len(calls) == 2:
             raise ConfigurationError("injected failure")
         return real(cfg)

@@ -4,18 +4,23 @@ A change that alters one of these on purpose says why and updates the pin
 in the same commit.
 """
 
+import ast
 import contextlib
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 from pathlib import Path
 
 import pytest
 
+import wavemod
+import wavemod.cli as cli
 from wavemod.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = PERFBENCH / "reference.json"
 
 CRITERION_8 = [
     "--method", "wm1,wm2,pam", "--scales", "4", "--message-len", "64",
@@ -73,3 +78,52 @@ def test_benchmark_sweeps_match_reference(tmp_path, workload, seed):
             for r in csv.DictReader(handle)
         ]
     assert rows == reference["rows"][str(seed)]
+
+
+def per_layer_span_names():
+    """The span names that perfbench/run.py's per_layer metrics read."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    [per_layer] = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "per_layer"
+    ]
+    readers = {"calls", "self_ns", "us_per_block", "ms_per_call"}
+    return {
+        arg.value
+        for call in ast.walk(per_layer)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) in readers
+        for arg in call.args
+        if isinstance(arg, ast.Constant)
+    }
+
+
+def test_benchmark_hooks_record_spans(tmp_path):
+    """Every function the benchmark's per-layer metrics read is still where
+    its tracer wraps it. The sweep has one point, so it runs in this
+    process, where the wrappers are."""
+    names = per_layer_span_names()
+    assert {"channel.add_awgn", "ber.run_monte_carlo", "cli.main"} <= names
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    bits = tmp_path / "bits.txt"
+    bits.write_text("0\n1\n" * 8)
+    samples = tmp_path / "samples.txt"
+    modem = ["--method", "wm2", "--scales", "2"]
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([
+                "ber-sweep", "--method", "wm1,wm2,pam", "--scales", "2", "--message-len", "8",
+                "--snr-grid=0", "--max-trials", "2", "--out", str(tmp_path / "ber.csv"),
+            ]) == 0
+        assert cli.main(["modulate", str(bits), "--out", str(samples), *modem]) == 0
+        back = tmp_path / "back.txt"
+        assert cli.main(["demodulate", str(samples), "--out", str(back), *modem]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {name for name, (count, _) in tracer.totals().items() if count}
+    assert names - recorded == set()
+    assert back.read_text() == bits.read_text()
+    assert isinstance(wavemod.BACKEND, str)  # perfbench's environment() records it
