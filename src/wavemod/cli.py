@@ -170,15 +170,21 @@ def cmd_demodulate(args) -> int:
     return EXIT_OK
 
 
+def _refuse_directory(path: Path):
+    """An output path that names a directory ("", ".", "/" included) is an
+    I/O error, raised before any file name is derived from it."""
+    if path.is_dir():
+        raise OSError(f"cannot open output {path}: is a directory")
+
+
 @contextlib.contextmanager
 def _replace_on_success(path: Path):
     """Yield a handle on a temporary file that replaces path if the block
     completes and is deleted if it raises. Opened before the block runs, so
     an output that cannot be written fails before any work is done."""
+    _refuse_directory(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        if path.is_dir():
-            raise IsADirectoryError("is a directory")
         handle = tmp.open("w", newline="")
     except OSError as exc:
         raise OSError(f"cannot open output {path}: {exc}")
@@ -232,7 +238,8 @@ def cmd_ber_sweep(args) -> int:
         for method in methods
     ]
 
-    out_path = Path(args.out if args.out else settings.get("out", "ber.csv"))
+    out_path = Path(args.out if args.out is not None else settings.get("out", "ber.csv"))
+    _refuse_directory(out_path)
     svg_path = out_path.with_suffix(".svg")
     if args.plot and svg_path == out_path:
         raise ConfigurationError(f"--plot writes {svg_path}, so the CSV needs another name")

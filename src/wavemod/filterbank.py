@@ -14,7 +14,7 @@ Every kernel takes an optional work area, one float64 array that holds its
 padded copies and partial products; the pyramids size one for their
 largest level and every level reuses it, so a caller that keeps a work
 area per direction allocates no array as long as a level's input but
-the ones the calls return.
+the ones the calls return, and none at all with analyze_pyramid's out=.
 Each step copies its input into the work area before it writes its
 output, so an output may overlap the input: the pyramids use the array
 they return as ping-pong space between levels.
@@ -183,18 +183,26 @@ def synthesize_pyramid(frame, num_scales: int, fp: FilterPair, work=None) -> np.
     return out
 
 
-def analyze_pyramid(samples, num_scales: int, fp: FilterPair, work=None) -> np.ndarray:
+def analyze_pyramid(samples, num_scales: int, fp: FilterPair, work=None, out=None) -> np.ndarray:
     """Run the forward pyramid, peeling one detail level into the frame per step.
 
     work is an analysis_work area for at least len(samples) samples, or
-    None. Level m writes its coarse output into frame[:n0 * 2**m], which
-    the next level reads, and its detail straight into level_slice(n0, m).
+    None. The frame goes into out, a float64 array of len(samples), or a
+    fresh array; out may be samples itself, since each step copies its
+    input into the work area first. Level m writes its coarse output into
+    frame[:n0 * 2**m], which the next level reads, and its detail straight
+    into level_slice(n0, m).
     """
     c = _as_float_array(samples)
     n0 = _base_length(len(c), num_scales)
     if work is None:
         work = analysis_work(len(c), fp)
-    frame = np.empty(len(c))
+    if out is None:
+        frame = np.empty(len(c))
+    elif len(out) != len(c):
+        raise ShapeError(f"output of {len(out)} samples for a block of {len(c)}")
+    else:
+        frame = out
     for m in reversed(range(num_scales)):
         c, _ = analysis_step(c, fp, work, frame[: n0 << (m + 1)])
     frame[:n0] = c

@@ -3,7 +3,9 @@
 A Modem checks the method/scales/length contract once, when it is built.
 modulate places the message (Method 1 or 2) and synthesizes the frame;
 demodulate analyzes it and runs the equal-gain ML detector. PAM, the
-baseline, sends antipodal symbols and decides on their signs.
+baseline, sends antipodal symbols and decides on their signs. transmit,
+for the Monte Carlo harness, is demodulate(modulate(bits) + noise)
+computed without synthesis.
 """
 
 import math
@@ -36,9 +38,10 @@ class Modem:
     """One modulate/demodulate chain: method, scale count, message length,
     filter taps and per-copy symbol energy E0. PAM ignores scales and taps.
 
-    A modem owns the pyramid work areas that every block reuses, built on
-    first use, so one Modem is not for concurrent use. Pickling keeps only
-    the constructor fields: the copy builds its own work areas.
+    A modem owns the pyramid work areas and, for transmit, a placement
+    buffer, which every block reuses. Each is built on first use, so one
+    Modem is not for concurrent use. Pickling keeps only the constructor
+    fields: the copy builds its own.
     """
 
     method: str
@@ -108,17 +111,11 @@ class Modem:
 
     def modulate(self, bits) -> np.ndarray:
         """message_len bits (0 or 1) -> one frame of samples, a new array."""
-        if len(bits) != self.message_len:
-            raise ShapeError(f"message has {len(bits)} bits, expected {self.message_len}")
-        symbols = codec.symbols(bits, self.symbol_energy)
-        if self.method == METHOD1:
-            frame = codec.place_method1(symbols, self.num_scales)
-        elif self.method == METHOD2:
-            frame = codec.place_method2(symbols, self.num_scales)
-        else:
+        symbols = self._symbols(bits)
+        if self.method == PAM:
             return symbols
         return filterbank.synthesize_pyramid(
-            frame, self.num_scales, self.filter_pair, self._synthesis_work
+            self._place(symbols), self.num_scales, self.filter_pair, self._synthesis_work
         )
 
     def demodulate(self, samples) -> np.ndarray:
@@ -131,6 +128,43 @@ class Modem:
             samples, self.num_scales, self.filter_pair, self._analysis_work
         )
         return detector.detect_block(frame, self.method, self.num_scales, self.message_len)
+
+    def transmit(self, bits, noise: np.ndarray) -> np.ndarray:
+        """demodulate(modulate(bits) + noise) without synthesis; noise, a
+        float64 array of num_samples samples, is overwritten.
+
+        The pyramid is orthonormal and linear, so the analyzed block is
+        the placed frame plus the analyzed noise: noise is analyzed in
+        place and the placed frame added to it. PAM adds the symbols to
+        the noise, the full chain's bits exactly. For the wavelet methods
+        the sums round differently, so a decision can differ from the full
+        chain's only where a copy sum is within rounding of zero.
+        """
+        if len(noise) != self.num_samples:
+            raise ShapeError(f"noise has {len(noise)} samples, expected {self.num_samples}")
+        symbols = self._symbols(bits)
+        if self.method == PAM:
+            noise += symbols
+            return (noise > 0).astype(np.int64)
+        frame = filterbank.analyze_pyramid(
+            noise, self.num_scales, self.filter_pair, self._analysis_work, out=noise
+        )
+        frame += self._place(symbols, out=self._placed)
+        return detector.detect_block(frame, self.method, self.num_scales, self.message_len)
+
+    def _symbols(self, bits) -> np.ndarray:
+        if len(bits) != self.message_len:
+            raise ShapeError(f"message has {len(bits)} bits, expected {self.message_len}")
+        return codec.symbols(bits, self.symbol_energy)
+
+    def _place(self, symbols, out=None) -> np.ndarray:
+        if self.method == METHOD1:
+            return codec.place_method1(symbols, self.num_scales, out)
+        return codec.place_method2(symbols, self.num_scales, out)
+
+    @cached_property
+    def _placed(self) -> np.ndarray:
+        return np.empty(self.num_samples)
 
     @cached_property
     def _synthesis_work(self) -> np.ndarray:

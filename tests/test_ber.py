@@ -16,7 +16,7 @@ from scipy.special import erfc
 import wavemod
 import wavemod.ber as ber
 
-from wavemod import _helpers
+from wavemod import _helpers, filterbank
 from wavemod.ber import ExperimentConfig, run_monte_carlo, snr_at_ber
 from wavemod.modem import Modem
 from wavemod.theory import (
@@ -301,6 +301,57 @@ print("scipy" in sys.modules, blocks, faults / blocks)
     assert int(blocks) >= 10
     assert float(faults_per_block) <= 5.0
     assert scipy_loaded == "False"
+
+
+def test_block_chain_does_not_fault_after_kept_frames():
+    """A wm2 block takes no fresh pages after frames were kept alive.
+
+    A warm sweep runs, then one modulate and one add_awgn result stay
+    alive, which used to leave glibc trimming and regrowing the heap top
+    on every later block: about 96 minor faults per block when each block
+    allocated its own frames. The sweeps run in this one process, so the
+    faults counted are those of every block.
+    """
+    code = """
+import resource
+import numpy as np
+from wavemod import _helpers
+from wavemod.ber import ExperimentConfig, run_monte_carlo
+from wavemod.channel import add_awgn
+from wavemod.modem import Modem
+_helpers.usable_cpus = lambda: 1
+cfg = ExperimentConfig(Modem("wm2", 6, 512), (-12, -11, -10, -9), min_errors=100, max_trials=40)
+run_monte_carlo(cfg)
+rng = np.random.default_rng(0)
+sent = cfg.modem.modulate(rng.integers(0, 2, 512))
+received = add_awgn(sent, 0.5, rng)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+blocks = sum(p.trials for _ in range(3) for p in run_monte_carlo(cfg)) // 512
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(blocks, faults / blocks)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    blocks, faults_per_block = done.stdout.split()
+    assert int(blocks) >= 100
+    assert float(faults_per_block) <= 5.0
+
+
+@pytest.mark.parametrize("method", ["wm1", "wm2"])
+def test_sweep_never_synthesizes(monkeypatch, method):
+    """The harness analyzes only the noise: no block runs the synthesis
+    pyramid or builds its work area."""
+    def synthesize(*args, **kwargs):
+        raise AssertionError("the sweep synthesized a frame")
+
+    monkeypatch.setattr(_helpers, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(filterbank, "synthesize_pyramid", synthesize)
+    modem = Modem(method, 4, 64)
+    cfg = ExperimentConfig(modem, (-6.0, 0.0), min_errors=50, max_trials=5)
+    assert sum(p.trials for p in run_monte_carlo(cfg)) > 0
+    assert "_synthesis_work" not in vars(modem)
 
 
 def test_snr_at_ber_inversion():

@@ -65,3 +65,14 @@ def test_non_finite_sigma_rejected(sigma):
     # nan used to pass the check and give nan samples; inf gave +-inf ones.
     with pytest.raises(ConfigurationError, match="finite"):
         add_awgn(np.zeros(4), sigma, stream(0))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_output_buffer_gives_the_fresh_bytes(sigma):
+    block = np.random.default_rng(4).standard_normal(129)
+    block[::3] = -0.0
+    fresh = add_awgn(block, sigma, stream(8, 2))
+    buf = np.full(len(block), np.nan)
+    out = add_awgn(block, sigma, stream(8, 2), out=buf)
+    assert out is buf
+    assert out.tobytes() == fresh.tobytes()

@@ -198,6 +198,22 @@ def test_ber_sweep_output_is_directory(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+@pytest.mark.parametrize("out", [".", "/", ""])
+@pytest.mark.parametrize("command", ["modulate", "demodulate", "ber-sweep", "ber-sweep --plot"])
+def test_output_naming_a_directory_is_io_error(tmp_path, capsys, monkeypatch, command, out):
+    # These used to end in a ValueError traceback ("has an empty name"),
+    # and ber-sweep --out '' wrote ./ber.csv.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_text("1.0\n-1.0\n" if command == "demodulate" else "0\n1\n")
+    if command.startswith("ber-sweep"):
+        argv = [*sweep_args(tmp_path, "unused")[:-2], *command.split()[1:]]
+    else:
+        argv = [command, "in.txt", "--method", "wm2", "--scales", "1"]
+    assert main([*argv, "--out", out]) == 3
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
+
+
 def test_ber_sweep_rejects_csv_named_like_its_plot(tmp_path, capsys, monkeypatch):
     # Both outputs used to share one temp file: exit 3, the SVG corrupt.
     monkeypatch.setattr(cli, "run_monte_carlo", None)  # fails before the sweep

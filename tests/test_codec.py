@@ -11,7 +11,7 @@ from wavemod.codec import (
     place_method2,
     symbols,
 )
-from wavemod.errors import ConfigurationError
+from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filterbank import level_slice
 from wavemod.modem import Modem
 
@@ -194,3 +194,17 @@ def test_gather_shape_mismatch():
     with pytest.raises(ConfigurationError, match="does not match"):
         gather_observations(frame, METHOD2, 3, 2)
 
+
+
+@pytest.mark.parametrize("method, place", [(METHOD1, place_method1), (METHOD2, place_method2)])
+def test_placement_into_a_dirty_buffer_gives_the_fresh_bytes(method, place):
+    num_scales = 4
+    a = symbols_of(np.random.default_rng(6).integers(0, 2, 24), 2.0)
+    fresh = place(a, num_scales)
+    dirty = np.full(len(fresh), np.nan)
+    dirty[: len(fresh) >> num_scales] = -0.0
+    out = place(a, num_scales, out=dirty)
+    assert out is dirty
+    assert out.tobytes() == fresh.tobytes()
+    with pytest.raises(ShapeError, match="output"):
+        place(a, num_scales, out=np.empty(len(fresh) + 1))

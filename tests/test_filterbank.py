@@ -238,3 +238,17 @@ def test_short_work_area_rejected():
         synthesize_pyramid(np.zeros(64), 3, fp, synthesis_work(32, fp))
     with pytest.raises(ShapeError, match="work area"):
         analyze_pyramid(np.zeros(64), 3, fp, analysis_work(32, fp))
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_analysis_in_place_gives_the_fresh_bytes(taps):
+    fp = make_daubechies(taps)
+    x = np.random.default_rng(taps).standard_normal(16 * 2**4)
+    x[:40] = 0.0  # zero outputs keep their sign bit too
+    x[5:40:3] = -0.0
+    fresh = analyze_pyramid(x, 4, fp)
+    out = analyze_pyramid(x, 4, fp, analysis_work(len(x), fp), out=x)
+    assert out is x
+    assert out.tobytes() == fresh.tobytes()
+    with pytest.raises(ShapeError, match="output"):
+        analyze_pyramid(x, 4, fp, out=np.empty(len(x) // 2))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from wavemod.ber import _MESSAGE_TAG, _NOISE_TAG, _noise_level, _stream
+from wavemod.channel import add_awgn
 from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.modem import MAX_FRAME_SAMPLES, METHODS, Modem
 
@@ -19,6 +21,7 @@ def test_noiseless_round_trip(method, taps):
     samples = modem.modulate(bits)
     assert len(samples) == modem.num_samples
     assert np.array_equal(modem.demodulate(samples), bits)
+    assert np.array_equal(modem.transmit(bits, np.zeros(modem.num_samples)), bits)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -116,3 +119,52 @@ def test_block_length_must_match():
     with pytest.raises(ShapeError, match="samples"):
         Modem("pam", 1, 4).demodulate(np.zeros(3))
 
+
+
+def grid(lo, hi, step):
+    return [lo + i * step for i in range((hi - lo) // step + 1)]
+
+
+# (method, scales, message length, taps, seed, SNR grid in dB, blocks per
+# point): the pinned sweeps of test_guarded_outputs for every method, then
+# Haar and taps 8.
+FULL_CHAIN_CASES = [
+    *[(m, 4, 64, 4, 42, grid(-6, 2, 2), 100) for m in METHODS],
+    *[(m, 6, 512, 6, 7, grid(-12, 4, 2), 20) for m in METHODS],
+    ("wm2", 4, 64, 2, 42, grid(-6, 2, 2), 100),
+    ("wm2", 5, 64, 8, 42, grid(-6, 2, 2), 100),
+]
+
+
+@pytest.mark.parametrize(
+    "method, num_scales, message_len, taps, seed, snr_grid_db, blocks",
+    FULL_CHAIN_CASES,
+    ids=[f"{c[0]}-M{c[1]}-L{c[2]}-taps{c[3]}" for c in FULL_CHAIN_CASES],
+)
+def test_transmit_matches_full_chain(
+    method, num_scales, message_len, taps, seed, snr_grid_db, blocks
+):
+    """transmit decides as demodulate(add_awgn(modulate(bits))) does on
+    every block of the Monte Carlo harness's streams."""
+    modem = Modem(method, num_scales, message_len, taps)
+    for pt, snr_db in enumerate(snr_grid_db):
+        _, sigma = _noise_level(modem.symbol_energy, snr_db)
+        for block in range(blocks):
+            bits = _stream(seed, _MESSAGE_TAG, pt, block).integers(0, 2, message_len)
+            words = (seed, _NOISE_TAG | pt << 40 | block)
+            full = modem.demodulate(add_awgn(modem.modulate(bits), sigma, _stream(*words)))
+            noise = add_awgn(np.zeros(modem.num_samples), sigma, _stream(*words))
+            assert np.array_equal(modem.transmit(bits, noise), full), (snr_db, block)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_transmit_contract(method):
+    modem = Modem(method, 3, message_len_for(method, 3))
+    bits = np.zeros(modem.message_len, dtype=int)
+    with pytest.raises(ShapeError, match="bits"):
+        modem.transmit(bits[1:], np.zeros(modem.num_samples))
+    with pytest.raises(ShapeError, match="noise"):
+        modem.transmit(bits, np.zeros(modem.num_samples + 1))
+    bits[0] = 2
+    with pytest.raises(ConfigurationError, match="0 or 1"):
+        modem.transmit(bits, np.zeros(modem.num_samples))
