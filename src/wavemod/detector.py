@@ -17,9 +17,11 @@ def detect_block(frame: np.ndarray, method: str, num_scales: int, message_len: i
     (codec.copies) run backwards.
 
     Bit 1 iff the sum of the symbol's copies is > 0 (ties go to bit 0).
-    Each level's rows are summed in row order from zero, and the level
-    sums are added in scale order; another order would round differently.
-    The per-symbol loop in tests/naive_detector.py is the reference.
+    Each level's rows are summed from zero by one numpy reduction, and the
+    level sums are added in scale order. numpy adds multi-sample rows one
+    row after another, but sums a column of one-sample rows pairwise, so a
+    sum may round differently from the per-symbol loop in
+    tests/naive_detector.py. The decisions are checked against that loop.
     """
     num_samples = codec.base_length(method, num_scales, message_len) << num_scales
     if len(frame) != num_samples:
@@ -29,8 +31,5 @@ def detect_block(frame: np.ndarray, method: str, num_scales: int, message_len: i
         )
     sums = np.zeros(message_len)
     for rows, sel in codec.copies(frame, method, num_scales):
-        level_sum = np.zeros(rows.shape[1])
-        for row in rows:
-            level_sum += row
-        sums[sel] += level_sum
+        sums[sel] += np.add.reduce(rows, axis=0, initial=0.0)
     return (sums > 0).astype(np.int64)

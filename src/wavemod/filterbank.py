@@ -4,11 +4,15 @@ Circular (periodic) convolution keeps every length an exact power-of-two
 multiple and makes the round trip exact for orthonormal filters. Scale
 indices are relative: the coarsest detail level is 0, the finest is M-1.
 
-The single-level kernels are polyphase: every filter tap reads one plain
-slice of a cyclically padded copy of the input, so each tap is a few
-whole-array numpy operations. Every output sums its taps into a
-zero-initialised accumulator in ascending tap order, which fixes the
-floating-point result bit for bit, sign of zero included.
+The single-level kernels are polyphase. Analysis splits its input once
+into the even and odd samples, each extended cyclically, and tap i reads
+a contiguous slice of phase i mod 2; synthesis reads each tap from a
+contiguous slice of its cyclically padded inputs. Each tap is therefore a
+few whole-array numpy operations on contiguous data. Every output sums
+its taps in ascending tap order into a zero-initialised accumulator, or
+(analysis) starts from tap 0's product and adds +0.0 last, which gives
+the same bits. That order fixes the floating-point result bit for bit,
+sign of zero included.
 
 Every kernel takes an optional work area, one float64 array that holds its
 padded copies and partial products; the pyramids size one for their
@@ -50,10 +54,13 @@ def _cyclic(v: np.ndarray, start: int, count: int) -> np.ndarray:
     """count samples of v from index start on, indices taken mod len(v).
 
     v may be shorter than count. An empty v gets zeros, which no kernel
-    reads: every slice of an empty input is empty.
+    reads: every slice of an empty input is empty. When no index wraps, the
+    result is a view of v, not a gathered copy.
     """
     if len(v) == 0:
         return np.zeros(count)
+    if 0 <= start and start + count <= len(v):
+        return v[start : start + count]
     return v[np.arange(start, start + count) % len(v)]
 
 
@@ -69,8 +76,11 @@ def _split(work, lengths):
 
 
 def _analysis_lengths(n_in: int, taps: int):
-    # Cyclic extension of the input, one partial-product row.
-    return (n_in + taps - 2, n_in // 2)
+    # Even and odd phases of the input, each extended cyclically by
+    # taps/2 - 1 samples, and one partial-product row.
+    half = n_in // 2
+    pad = taps // 2 - 1
+    return (half + pad, half + pad, half)
 
 
 def _synthesis_lengths(n_low: int, taps: int):
@@ -102,21 +112,33 @@ def analysis_step(c_next, fp: FilterPair, work=None, out=None):
         raise ShapeError(f"analysis input length {n_in} is odd")
     half = n_in // 2
     taps = len(fp.h)
-    ext, term = _split(work, _analysis_lengths(n_in, taps))
-    # Output n reads c_next[2n + i] for taps i = 0..taps-1, so extending
-    # the input cyclically by taps - 2 samples turns tap i into the stride-2
-    # slice ext[i : i + n_in : 2].
-    ext[n_in:] = _cyclic(c_next, 0, taps - 2)
-    ext[:n_in] = c_next
+    even, odd, term = _split(work, _analysis_lengths(n_in, taps))
+    # Output n reads c_next[2n + i] for taps i = 0..taps-1. Tap i = 2k + p
+    # is sample n + k of phase p (c_next[p::2]), indices mod N/2, so
+    # extending each phase cyclically by pad = taps/2 - 1 samples turns it
+    # into the contiguous slice phase_p[k : k + N/2]. The pad may wrap the
+    # phase more than once (8 taps, N = 2).
+    pad = taps // 2 - 1
+    even[:half] = c_next[0::2]
+    odd[:half] = c_next[1::2]
+    even[half:] = _cyclic(even[:half], 0, pad)
+    odd[half:] = _cyclic(odd[:half], 0, pad)
+    phases = (even, odd)
     if out is None:
         out = np.empty(n_in)
     out = out[:n_in]
-    out[...] = 0.0
     c, x = out[:half], out[half:]
-    for i, (h_i, g_i) in enumerate(zip(fp.h, fp.g)):
-        v = ext[i : i + n_in : 2]
-        c += np.multiply(h_i, v, out=term)
-        x += np.multiply(g_i, v, out=term)
+    # Starting from tap 0's product rather than from +0.0 changes at most
+    # the sign of a zero partial sum, since a zero of either sign leaves a
+    # nonzero sum as it is; the final + 0.0 makes every zero +0.0, which is
+    # what a sum that starts from +0.0 ends at.
+    np.multiply(fp.h[0], even[:half], out=c)
+    np.multiply(fp.g[0], even[:half], out=x)
+    for i in range(1, taps):
+        v = phases[i % 2][i // 2 : i // 2 + half]
+        c += np.multiply(fp.h[i], v, out=term)
+        x += np.multiply(fp.g[i], v, out=term)
+    out += 0.0
     return c, x
 
 

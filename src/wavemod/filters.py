@@ -24,10 +24,6 @@ class FilterPair:
     h: np.ndarray
     g: np.ndarray
 
-    @property
-    def taps(self) -> int:
-        return len(self.h)
-
 
 def _daubechies_scaling(p: int) -> np.ndarray:
     """Minimum-phase Daubechies scaling filter with p vanishing moments.

@@ -56,8 +56,7 @@ def _polevl(x: float, coef) -> float:
 
 
 def _erf(x: float) -> float:
-    if abs(x) > 1.0:
-        return 1.0 - _erfc(x)
+    """Cephes erf for |x| < 1, the only range _erfc calls it with."""
     z = x * x
     return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 

@@ -2,8 +2,10 @@
 
 Each tap gathers its inputs with an explicit modular index array, straight
 from the circular-convolution formulas. The accumulation order (a zeroed
-accumulator, then one term per tap in ascending order) is the one the
-library kernels keep, so the two must agree bit for bit.
+accumulator, then one term per tap in ascending order) fixes the bits,
+sign of zero included, that the library kernels must give. analyze_pyramid
+loops analysis_step down the levels and lays the frame out by
+concatenation, without filterbank.level_slice.
 """
 
 import numpy as np
@@ -20,6 +22,16 @@ def analysis_step(c_next, h, g):
         acc_c = acc_c + h[i] * v
         acc_x = acc_x + g[i] * v
     return acc_c, acc_x
+
+
+def analyze_pyramid(samples, num_scales, h, g):
+    """Coarse branch, then detail levels 0 (coarsest) .. M-1 (finest)."""
+    c = samples
+    details = []
+    for _ in range(num_scales):
+        c, x = analysis_step(c, h, g)
+        details.append(x)
+    return np.concatenate([c, *reversed(details)])
 
 
 def synthesis_step(c, x, h, g):

@@ -60,6 +60,13 @@ def test_q_of_one_frozen():
     assert abs(float(q_function(1.0)) - 0.15865525393145705) < 1e-14
 
 
+def test_q_of_a_large_negative_argument_is_one():
+    """Once (x/sqrt(2))**2 passes ln(DBL_MAX), erfc is taken as its limit 2,
+    so Q is exactly 1."""
+    for x in (-40.0, -1e308, -np.inf):
+        assert q_function(x) == 1.0
+
+
 def scipy_q(x):
     """The scipy formula q_function ports: 0.5 * erfc(x / sqrt(2))."""
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))

@@ -19,8 +19,9 @@ from wavemod import _helpers
 from wavemod import cli
 from wavemod.cli import MAX_SNR_POINTS, main, parse_snr_grid, read_config_file, CSV_COLUMNS
 from wavemod.errors import ConfigurationError
-from wavemod.filters import make_daubechies
+from wavemod.filters import FilterPair, make_daubechies
 from wavemod.modem import Modem
+from wavemod.svgplot import render_ber_svg
 
 
 def write_bits(path, bits):
@@ -49,6 +50,17 @@ def test_filters_match_construction(capsys):
 def test_filters_bad_taps(capsys):
     assert main(["filters", "--taps", "5"]) == 2
     assert "supported" in capsys.readouterr().err
+
+
+def test_filters_invalid_pair(capsys, monkeypatch):
+    """A pair that fails validation is printed as problems, not taps."""
+    bad = FilterPair(h=np.array([1.0, 1.0]), g=np.array([1.0, -1.0]))
+    monkeypatch.setattr(cli, "make_daubechies", lambda taps: bad)
+    assert main(["filters", "--taps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines and all(line.startswith("invalid filter pair: ") for line in lines)
 
 
 @pytest.mark.parametrize("method", ["wm1", "wm2"])
@@ -240,6 +252,41 @@ def test_ber_sweep_config_file(tmp_path):
     assert main(["ber-sweep", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
     assert main(sweep_args(tmp_path, "d.csv")) == 0
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed=abc", "config key 'seed': 'abc' is not an integer"),
+        ("energy=abc", "config key 'energy': 'abc' is not a number"),
+    ],
+)
+def test_ber_sweep_config_value_that_does_not_parse(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"methods=pam\n{line}\n")
+    out = tmp_path / "out.csv"
+    assert main(["ber-sweep", "--config", str(cfg), "--out", str(out), "--plot"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_svg_axes_of_degenerate_curves():
+    """Zero-error points have no place on a log axis. A plot left with no
+    point draws the default axes, 1e-6 to 1, and a curve left with no point
+    gets no polyline and no legend entry. A lone BER of 1 still gets one
+    decade, 1 to 10."""
+    svg = render_ber_svg([("wm2", False, [(0.0, 0.0), (3.0, 0.0)])])
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+    assert "polyline" not in svg and ">wm2<" not in svg
+    assert all(f">1e{d}</text>" in svg for d in range(-6, 1))
+    svg = render_ber_svg(
+        [("wm2", False, [(0.0, 0.0)]), ("pam", True, [(0.0, 0.1), (2.0, 0.01)])]
+    )
+    assert svg.count("<polyline") == 1 and ">pam<" in svg and ">wm2<" not in svg
+    svg = render_ber_svg([("pam", False, [(0.0, 1.0)])])
+    assert ">1e0</text>" in svg and ">1e1</text>" in svg and ">1e-1</text>" not in svg
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,15 @@ def test_noiseless_round_trip(method, place, msg_len, num_scales):
     assert np.array_equal(detected, bits)
 
 
+def assert_detect_block_matches_oracle(received, method, num_scales, msg_len):
+    """detect_block against gather_observations + ml_decide; returns the
+    number of symbols whose copies sum to exactly zero."""
+    obs = gather_observations(received, method, num_scales, msg_len)
+    slow = [ml_decide(o, 1.0, 1.0).bit for o in obs]
+    assert np.array_equal(detect_block(received, method, num_scales, msg_len), slow)
+    return sum(np.sum(o.copies) == 0 for o in obs)
+
+
 def test_detect_block_matches_gather_plus_ml_decide():
     # Noisy frames, and half-integer frames: on those every summation order
     # is exact, so the exact ties check that a tie goes to bit 0.
@@ -106,16 +115,36 @@ def test_detect_block_matches_gather_plus_ml_decide():
                 back = analyze_pyramid(noisy, num_scales, fp)
                 halves = rng.integers(-2, 3, (8, len(frame))) / 2.0
                 for received in (back, *halves):
-                    fast = detect_block(received, method, num_scales, msg_len)
-                    obs = gather_observations(received, method, num_scales, msg_len)
-                    slow = [ml_decide(o, 1.0, 1.0).bit for o in obs]
-                    assert np.array_equal(fast, slow)
-                    ties += sum(np.sum(o.copies) == 0 for o in obs)
+                    ties += assert_detect_block_matches_oracle(
+                        received, method, num_scales, msg_len
+                    )
     assert ties > 0
     with pytest.raises(ConfigurationError, match="unknown placement method"):
         detect_block(np.zeros(16), "pam", 3, 2)
     with pytest.raises(ConfigurationError, match="divisible by 4"):
         detect_block(np.zeros(16), METHOD1, 3, 6)
+
+
+def test_detect_block_level_reductions_match_the_oracle():
+    """One reduction per level decides as the per-symbol loop does.
+
+    wm2 with M = 6, L = 512 is the sweep's frame: 2**m rows of 512 samples
+    per level. With L = 1 every row is one sample, which numpy sums
+    pairwise; M = 8 gives 128 such rows. Half-integer frames sum exactly in
+    any order, so their exact ties check that a tie goes to bit 0.
+    """
+    rng = np.random.default_rng(16)
+    fp = make_daubechies(4)
+    ties = 0
+    for num_scales, msg_len in ((6, 512), *((m, 1) for m in range(1, 9))):
+        n = msg_len << num_scales
+        bits = rng.integers(0, 2, msg_len)
+        noise = analyze_pyramid(rng.standard_normal(n) * 3.0, num_scales, fp)
+        received = place_method2(symbols(bits, 1.0), num_scales) + noise
+        halves = rng.integers(-2, 3, (4, n)) / 2.0
+        for frame in (received, *halves):
+            ties += assert_detect_block_matches_oracle(frame, METHOD2, num_scales, msg_len)
+    assert ties > 0
 
 
 def test_single_scale_reduces_to_sign_detector():

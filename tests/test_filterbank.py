@@ -158,12 +158,13 @@ def assert_bit_identical(a, b):
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
-@pytest.mark.parametrize("n", [2, 4, 8, 1024, 32768])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 34, 1024, 32768])
 def test_kernels_match_naive_reference(taps, n):
     """Bit for bit against the modular-gather reference, sign of zero too.
 
-    N = 2 with 8 taps wraps the input several times. Zero samples of both
-    signs make the sign of every zero product and sum visible.
+    N = 2 with 8 taps wraps the input several times; N = 6, 10 and 34 give
+    each analysis phase an odd length. Zero samples of both signs make the
+    sign of every zero product and sum visible.
     """
     rng = np.random.default_rng(taps * 100_003 + n)
     fp = make_daubechies(taps)
@@ -182,6 +183,29 @@ def test_kernels_match_naive_reference(taps, n):
             synthesis_step(low, high, fp),
             naive_kernels.synthesis_step(low, high, fp.h, fp.g),
         )
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_analysis_pyramid_matches_naive_reference(taps):
+    """The wm2 sweep's pyramid (M = 6, N = 32768), fresh and in place, bit
+    for bit against a loop over the reference step, sign of zero too."""
+    fp = make_daubechies(taps)
+    v = np.random.default_rng(taps).standard_normal(32768)
+    v[::5] = 0.0
+    v[::13] = -0.0
+    v[:2048] = -0.0  # a run of zeros keeps zero outputs down to the coarsest level
+    want = naive_kernels.analyze_pyramid(v, 6, fp.h, fp.g)
+    assert_bit_identical(analyze_pyramid(v, 6, fp), want)
+    assert_bit_identical(analyze_pyramid(v, 6, fp, analysis_work(len(v), fp), out=v), want)
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_analysis_work_area_length(taps):
+    """An analysis work area stays N + taps - 2 + N/2 samples: the two
+    padded phases and one partial-product row."""
+    fp = make_daubechies(taps)
+    for n in (2, 6, 1024, 32768):
+        assert len(analysis_work(n, fp)) == n + taps - 2 + n // 2
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
