@@ -80,8 +80,8 @@ def _erfc(a: float) -> float:
     y = (z * p) / q
     if a < 0:
         y = 2.0 - y
-    if y == 0.0:
-        return 2.0 if a < 0 else 0.0
+    # Cephes checks y == 0 here. Under the _MAXLOG cut y is at least
+    # ~1.2e-310 for a > 0 and at least 1 for a < 0, so it never fires.
     return y
 
 

@@ -41,11 +41,9 @@ def test_criterion_1_perfect_reconstruction():
                     back = analyze_pyramid(block, num_scales, fp)
                     worst = max(worst, np.max(np.abs(back - frame)))
     elapsed = time.time() - start
-    report(
-        "criterion 1 (perfect reconstruction)",
-        worst < 1e-9 and elapsed < 10.0,
-        f"max round-trip error {worst:.3e}, {elapsed:.1f}s",
-    )
+    report("criterion 1 (perfect reconstruction)", worst < 1e-9,
+           f"max round-trip error {worst:.3e}")
+    report("criterion 1 (time bound)", elapsed < 10.0, f"{elapsed:.1f}s for 9600 round trips")
 
 
 def test_criterion_2_filter_validity():

@@ -160,6 +160,11 @@ def test_theory_range_and_monotonicity():
         assert np.all(np.diff(vals) < 0)
 
 
+def test_theory_rejects_unknown_method():
+    with pytest.raises(ConfigurationError, match="unknown method 'qam'"):
+        ber_theory("qam", 6, 1.0)
+
+
 def test_energy_factors():
     assert energy_per_symbol_factor("pam", 6) == 1.0
     assert energy_per_symbol_factor("wm2", 6) == 63.0

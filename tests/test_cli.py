@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -423,7 +425,7 @@ def test_read_lines_matches_per_line_reader(tmp_path, text, parse):
 
     def outcome(read):
         try:
-            return read(path, "value", parse)
+            return list(read(path, "value", parse))
         except ConfigurationError as exc:
             return str(exc)
 
@@ -567,6 +569,191 @@ def test_ber_sweep_process_exits_and_leaves_no_helper(tmp_path):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.fixture
+def split_text(monkeypatch):
+    """Two usable CPUs whatever the machine, so that a large text is split,
+    and no helper before or after the test."""
+    _helpers.stop()
+    monkeypatch.setattr(_helpers, "usable_cpus", lambda: 2)
+    yield
+    _helpers.stop()
+
+
+def serial_parse(text, parse):
+    """The float64 bytes of the values, or the message of the first
+    ValueError, of one pass over the lines of text."""
+    try:
+        values = list(map(parse, filter(None, map(str.strip, text.splitlines()))))
+    except ValueError as exc:
+        return str(exc)
+    return np.array(values, dtype=float).tobytes()
+
+
+# The long line puts some k/w points of a short text past its last '\n'.
+SPLIT_LINES = ["1", "-2.5", "0", "1e-3", "", " ", "\t ", " 7 ", "x", "1_0", "nan", "0." + "0" * 80 + "1"]
+SPLIT_BREAKS = ["\n", "\r\n", "\r", " \n", "\n\n"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    strategies.lists(strategies.tuples(strategies.sampled_from(SPLIT_LINES),
+                                       strategies.sampled_from(SPLIT_BREAKS)), max_size=30),
+    strategies.booleans(),
+    strategies.integers(1, 4),
+)
+def test_split_parse_matches_serial_parse(lines, final_break, shares):
+    """Cut into up to `shares` pieces of at least one line, run by helpers,
+    a text gives the values or the error of one serial pass."""
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not final_break:
+        text = text[: -len(lines[-1][1])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "MIN_SHARE_LINES", 1)
+        patch.setattr(_helpers, "usable_cpus", lambda: shares)
+        try:
+            got = cli._parse_lines(text, float).tobytes()
+        except ValueError as exc:
+            got = str(exc)
+    assert got == serial_parse(text, float)
+
+
+def spread_values(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[:4] = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    return values
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_split_format_matches_single_operation(tmp_path, monkeypatch, split_text, cpus, extra):
+    monkeypatch.setattr(_helpers, "usable_cpus", lambda: cpus)
+    n = cpus * cli.MIN_SHARE_LINES + extra
+    shares = min(cpus, n // cli.MIN_SHARE_LINES)
+    for line_format, values in (("%.17g\n", spread_values(n)),
+                                ("%d\n", np.arange(n, dtype=np.int64) % 2)):
+        path = tmp_path / "out.txt"
+        cli._write_lines(path, line_format, values)
+        assert path.read_text() == (line_format * n) % tuple(values.tolist())
+        assert len(_helpers.pool) == shares - 1
+
+
+@pytest.mark.parametrize("where", ["first line", "owner's share", "helper's share", "last line"])
+def test_malformed_line_in_any_share_is_named(tmp_path, capsys, split_text, where):
+    n = 2 * cli.MIN_SHARE_LINES + 64
+    lines = naive_cli_io.format_samples(spread_values(n)).splitlines()
+    lineno = {"first line": 1, "owner's share": n // 4, "helper's share": 3 * n // 4,
+              "last line": n}[where]
+    lines[lineno - 1] = " 0x1p3 "
+    src = tmp_path / "s.txt"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "b.txt"
+    assert main(["demodulate", str(src), "--out", str(out), "--method", "wm2"]) == 2
+    err = capsys.readouterr().err
+    expected = f"{src}: line {lineno}: malformed sample: ' 0x1p3 '"
+    assert err == f"error: {expected}\n"
+    with pytest.raises(ConfigurationError) as exc:
+        naive_cli_io.read_lines(src, "sample", float)
+    assert str(exc.value) == expected
+    assert sorted(tmp_path.iterdir()) == [src]
+
+
+def round_trip_files(tmp_path, argv_tail=("--method", "wm2", "--scales", "6")):
+    """Write a 512-bit message; -> (modulate argv, demodulate argv, bits
+    path, samples path, recovered bits path). Its wm2 frame has 32768
+    samples, enough for two shares."""
+    bits, samples, back = (tmp_path / name for name in ("bits.txt", "s.txt", "b.txt"))
+    write_bits(bits, np.random.default_rng(9).integers(0, 2, 512))
+    return (["modulate", str(bits), "--out", str(samples), *argv_tail],
+            ["demodulate", str(samples), "--out", str(back), *argv_tail], bits, samples, back)
+
+
+def test_round_trip_keeps_its_helpers(tmp_path, split_text):
+    modulate, demodulate, bits, samples, back = round_trip_files(tmp_path)
+    assert main(modulate) == 0
+    pids = [helper.pid for helper in _helpers.pool]
+    assert len(pids) == 1
+    assert main(demodulate) == 0
+    assert [helper.pid for helper in _helpers.pool] == pids
+    assert back.read_text() == bits.read_text()
+    frame = Modem("wm2", 6, 512).modulate(read_bits(bits))
+    assert samples.read_text() == naive_cli_io.format_samples(frame)
+
+
+def test_text_is_serial_with_another_thread_alive(tmp_path, split_text):
+    modulate, demodulate, bits, samples, back = round_trip_files(tmp_path)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert main(modulate) == 0
+        assert main(demodulate) == 0
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert _helpers.pool == []
+    assert back.read_text() == bits.read_text()
+    frame = Modem("wm2", 6, 512).modulate(read_bits(bits))
+    assert samples.read_text() == naive_cli_io.format_samples(frame)
+
+
+def test_killed_helper_is_replaced_and_output_unchanged(tmp_path, split_text):
+    modulate, demodulate, bits, samples, back = round_trip_files(tmp_path)
+    assert main(modulate) == 0
+    expected = samples.read_bytes()
+    for _ in range(2):
+        killed = _helpers.pool[0].pid
+        os.kill(killed, signal.SIGKILL)
+        samples.unlink()
+        assert main(modulate) == 0  # the dead helper's share runs here
+        assert samples.read_bytes() == expected
+        assert killed not in [helper.pid for helper in _helpers.pool]
+        assert main(modulate) == 0  # forks a new helper
+        assert samples.read_bytes() == expected
+        assert len(_helpers.pool) == 1
+    assert main(demodulate) == 0
+    assert back.read_text() == bits.read_text()
+
+
+def run_cli_module_recording_forks(tmp_path, argv):
+    """Run `python -m wavemod.cli argv` with two usable CPUs; -> the pids
+    of the processes it forked."""
+    code = (
+        "import os, runpy, sys\n"
+        "import wavemod._helpers as h\n"
+        "h.usable_cpus = lambda: 2\n"
+        "fork = os.fork\n"
+        "def recorded_fork():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        print(pid, flush=True)\n"
+        "    return pid\n"
+        "os.fork = recorded_fork\n"
+        f"sys.argv = ['wavemod', *{list(argv)!r}]\n"
+        "runpy.run_module('wavemod.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return [int(pid) for pid in done.stdout.split()]
+
+
+def test_cli_process_leaves_no_helper(tmp_path):
+    modulate, demodulate, bits, samples, back = round_trip_files(tmp_path)
+    pids = [pid for argv in (modulate, demodulate)
+            for pid in run_cli_module_recording_forks(tmp_path, argv)]
+    assert len(pids) == 2  # one helper per process, for 32768 samples
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    assert back.read_text() == bits.read_text()
+    # 512 bits in and 1024 samples out stay below the split threshold.
+    small = round_trip_files(tmp_path, ("--method", "wm1", "--scales", "6"))
+    assert run_cli_module_recording_forks(tmp_path, small[0]) == []
 
 
 # Per setting: values the contract accepts, then values it must reject.

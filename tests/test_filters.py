@@ -102,3 +102,16 @@ def test_validate_flags_quadrature_breakage():
     fp = make_daubechies(4)
     problems = validate_filter_pair(FilterPair(h=fp.h, g=fp.g[::-1].copy()))
     assert any("quadrature" in p for p in problems)
+
+
+def test_validate_flags_length_mismatch():
+    fp = make_daubechies(4)
+    problems = validate_filter_pair(FilterPair(h=fp.h, g=fp.g[:2].copy()))
+    assert problems == ["len(h)=4 != len(g)=2"]
+
+
+@pytest.mark.parametrize("taps", [3, 1, 0])
+def test_validate_flags_odd_or_too_few_taps(taps):
+    h = np.full(taps, 0.5)
+    problems = validate_filter_pair(FilterPair(h=h, g=h.copy()))
+    assert problems == [f"tap count {taps} is not an even integer >= 2"]
