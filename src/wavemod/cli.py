@@ -47,6 +47,7 @@ DEFAULTS = {
     "max_trials": 200,
     "seed": 0,
     "taps": 4,
+    "out": "ber.csv",
 }
 
 # Most points an "a:b:step" SNR grid may have, checked before it is built.
@@ -96,7 +97,7 @@ def read_config_file(path: Path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in DEFAULTS and key != "out":
+        if key not in DEFAULTS:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -303,7 +304,7 @@ def cmd_ber_sweep(args) -> int:
         for method in methods
     ]
 
-    out_path = Path(args.out if args.out is not None else settings.get("out", "ber.csv"))
+    out_path = Path(settings["out"])
     _refuse_directory(out_path)
     svg_path = out_path.with_suffix(".svg")
     if args.plot and svg_path == out_path:

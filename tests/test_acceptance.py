@@ -67,11 +67,9 @@ def test_criterion_3_q_function_accuracy():
         ref, _ = quad(integrand, x, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
         worst = max(worst, abs(float(q_function(x)) - ref))
     elapsed = time.time() - start
-    report(
-        "criterion 3 (Q-function accuracy)",
-        worst < 1e-12 and elapsed < 5.0,
-        f"max abs deviation {worst:.3e} over 1000 points, {elapsed:.1f}s",
-    )
+    report("criterion 3 (Q-function accuracy)", worst < 1e-12,
+           f"max abs deviation {worst:.3e} over 1000 points")
+    report("criterion 3 (time bound)", elapsed < 5.0, f"{elapsed:.1f}s for 1000 points")
 
 
 def test_criterion_4_noise_whiteness():

@@ -8,10 +8,10 @@ import threading
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erfc
 
 import wavemod
 import wavemod.ber as ber
@@ -61,23 +61,19 @@ def test_q_of_one_frozen():
 
 
 def test_q_of_a_large_negative_argument_is_one():
-    """Once (x/sqrt(2))**2 passes ln(DBL_MAX), erfc is taken as its limit 2,
-    so Q is exactly 1."""
-    for x in (-40.0, -1e308, -np.inf):
+    """Below about -8.3, erfc(x / sqrt(2)) is within half an ulp of 2, so Q
+    rounds to exactly 1, down to -inf."""
+    for x in (-8.5, -40.0, -1e308, -np.inf):
         assert q_function(x) == 1.0
 
 
-def scipy_q(x):
-    """The scipy formula q_function ports: 0.5 * erfc(x / sqrt(2))."""
-    return 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
-
-
 def q_test_points():
-    """Seeded points over [-40, 40], the float neighbours of the erfc
-    branch points 1 and 8 and of its underflow edge near 26.55 (Q's
-    argument is sqrt(2) times erfc's), and the special values."""
+    """Seeded points over [-40, 40]; the float neighbours of 1, 8 and of
+    erfc's normal/subnormal edge near 26.55, each both as Q's argument and
+    as erfc's (Q's argument is sqrt(2) times erfc's); a fine grid over
+    that edge. All finite: the special values have their own test."""
     rng = np.random.default_rng(20261018)
-    points = [rng.uniform(-40.0, 40.0, 100_000)]
+    points = [rng.uniform(-40.0, 40.0, 3000)]
     for edge in (1.0, 8.0, 26.5, 26.55, 26.6, 26.65):
         for centre in (edge, edge * math.sqrt(2.0)):
             for sign in (1.0, -1.0):
@@ -87,26 +83,64 @@ def q_test_points():
                     down = np.nextafter(down, -np.inf)
                     points += [up, down]
     points.append(np.linspace(26.5, 26.7, 2001) * math.sqrt(2.0))
-    points.append(np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]))
     return np.concatenate(points)
 
 
-def assert_same_float64(got, want):
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).dtype == np.asarray(want).dtype
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+def ulps_from_mpmath(x, q):
+    """Per point, |q - 0.5 * erfc(z)| in ulps of the exact value, with erfc
+    from mpmath at 113 bits and z the float x / sqrt(2) that q_function
+    hands to erfc; -> (errors, whether the exact value is subnormal)."""
+    errors, subnormal = [], []
+    with mpmath.workprec(113):
+        for z, got in zip((x / math.sqrt(2.0)).tolist(), q.tolist()):
+            want = mpmath.erfc(mpmath.mpf(z)) / 2
+            errors.append(float(abs(mpmath.mpf(got) - want) / math.ulp(float(want))))
+            subnormal.append(float(want) < sys.float_info.min)
+    return np.array(errors), np.array(subnormal)
 
 
-def test_q_function_matches_scipy_erfc_bit_for_bit():
+def test_q_function_is_within_a_few_ulp_of_mpmath():
+    """Against erfc of the rounded argument, not against exact Q(x):
+    rounding x / sqrt(2) alone moves Q by hundreds of ulp at large x. The
+    bounds are the worst errors measured over 100,000 uniform points: 2.9
+    ulp for normal results, 1.4 for subnormal ones, where halving erfc
+    rounds."""
     x = q_test_points()
-    assert len(x) > 100_000
-    assert_same_float64(q_function(x), scipy_q(x))
-    for value in (0.3, -2.0, 8.0 * math.sqrt(2.0), 40.0, math.nan, 3, np.float64(1.5)):
-        assert_same_float64(q_function(value), scipy_q(value))
-    for arr in (np.array(0.7), np.array([-1.0, 0.0, 1.0]), x[:12].reshape(3, 4), np.zeros((2, 0))):
-        assert_same_float64(q_function(arr), scipy_q(arr))
+    assert len(x) > 9000
+    q = q_function(x)
+    errors, subnormal = ulps_from_mpmath(x, q)
+    assert subnormal.sum() > 2000
+    worst = np.argmax(np.where(subnormal, 0.0, errors))
+    assert errors[worst] <= 3.0, f"Q({x[worst]!r}) is {errors[worst]:.2f} ulp off"
+    worst = np.argmax(np.where(subnormal, errors, 0.0))
+    assert errors[worst] <= 1.5, f"Q({x[worst]!r}) is {errors[worst]:.2f} ulp off"
+    assert not np.signbit(q).any()
+
+
+def test_q_function_special_values():
+    x = np.array([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
+    want = np.array([0.5, 0.5, 0.5, 0.5, 0.0, 1.0, 0.0, 1.0, np.nan])
+    got = q_function(x)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.signbit(got).any()
+
+
+@pytest.mark.parametrize(
+    "x", [0.3, -2.0, 40.0, math.nan, 3, np.float64(1.5), np.array(0.7)],
+    ids=["float", "negative", "tail", "nan", "int", "float64", "0-d"],
+)
+def test_q_function_of_a_scalar_is_a_float64_scalar(x):
+    got = q_function(x)
+    assert type(got) is np.float64
+    assert np.array_equal(got, q_function(np.array([x], dtype=float))[0], equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 4), (2, 0)], ids=["1-d", "2-d", "empty"])
+def test_q_function_keeps_an_array_shape(shape):
+    x = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+    got = q_function(x)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == shape
+    assert np.array_equal(got.ravel(), q_function(x.ravel()))
 
 
 def test_method1_ideal_reduces_to_pam():

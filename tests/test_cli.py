@@ -34,6 +34,25 @@ def read_bits(path):
     return [int(line) for line in path.read_text().split()]
 
 
+def assert_same_text(got, want):
+    """got == want in full (two str or two bytes), but a mismatch reports
+    the line counts and the first differing line, not a diff of two texts
+    of up to 32768 lines."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    first = next(
+        (i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+        min(len(got_lines), len(want_lines)),
+    )
+    pytest.fail(
+        f"texts differ: {len(got_lines)} lines against {len(want_lines)} expected; "
+        f"first difference at line {first + 1}: {got_lines[first:first + 1]!r} "
+        f"against {want_lines[first:first + 1]!r}",
+        pytrace=False,
+    )
+
+
 def test_filters_output(capsys):
     assert main(["filters", "--taps", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -256,6 +275,27 @@ def test_ber_sweep_config_file(tmp_path):
     assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
 
 
+def test_ber_sweep_out_setting(tmp_path, monkeypatch, capsys):
+    """out= in a --config file names the CSV, --out overrides it, and with
+    neither the CSV is ber.csv in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    settings = "methods=pam\nsnr_grid=2\nmessage_len=8\nmax_trials=2\n"
+    Path("out.cfg").write_text(settings + "out=from_config.csv\n")
+    Path("plain.cfg").write_text(settings)
+    for argv, written in (
+        (["--config", "out.cfg"], "from_config.csv"),
+        (["--config", "out.cfg", "--out", "from_flag.csv"], "from_flag.csv"),
+        (["--config", "plain.cfg"], "ber.csv"),
+    ):
+        assert main(["ber-sweep", *argv]) == 0
+        assert capsys.readouterr().out == f"wrote {written}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ber.csv", "from_config.csv", "from_flag.csv", "out.cfg", "plain.cfg",
+    ]
+    assert Path("ber.csv").read_bytes() == Path("from_config.csv").read_bytes()
+    assert Path("ber.csv").read_bytes() == Path("from_flag.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -387,14 +427,14 @@ def test_modulate_output_matches_per_value_formatter(tmp_path, method, taps):
             "--taps", str(taps), "--energy", "2.5"]
     assert main(argv) == 0
     samples = Modem(method, 6, 512, taps, 2.5).modulate(bits)
-    assert out.read_text() == naive_cli_io.format_samples(samples)
+    assert_same_text(out.read_text(), naive_cli_io.format_samples(samples))
 
 
 def test_sample_format_round_trips_bit_exactly(tmp_path):
     values = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, -1e-300])
     path = tmp_path / "samples.txt"
     cli._write_lines(path, "%.17g\n", values)
-    assert path.read_text() == naive_cli_io.format_samples(values)
+    assert_same_text(path.read_text(), naive_cli_io.format_samples(values))
     back = np.array(cli._read_lines(path, "sample", float))
     assert np.array_equal(back.view(np.int64), values.view(np.int64))
 
@@ -457,7 +497,7 @@ def test_file_modem_does_not_import_scipy(tmp_path):
              ["demodulate", "s.txt", "--out", "b.txt", *a]]
     modules = ["scipy", "numpy.random", "multiprocessing"]
     assert run_cli_reporting_modules(tmp_path, argvs, modules) == ["False"] * 3
-    assert (tmp_path / "b.txt").read_text() == (tmp_path / "bits.txt").read_text()
+    assert_same_text((tmp_path / "b.txt").read_text(), (tmp_path / "bits.txt").read_text())
 
 
 def test_ber_sweep_does_not_import_scipy(tmp_path):
@@ -636,7 +676,7 @@ def test_split_format_matches_single_operation(tmp_path, monkeypatch, split_text
                                 ("%d\n", np.arange(n, dtype=np.int64) % 2)):
         path = tmp_path / "out.txt"
         cli._write_lines(path, line_format, values)
-        assert path.read_text() == (line_format * n) % tuple(values.tolist())
+        assert_same_text(path.read_text(), (line_format * n) % tuple(values.tolist()))
         assert len(_helpers.pool) == shares - 1
 
 
@@ -677,9 +717,9 @@ def test_round_trip_keeps_its_helpers(tmp_path, split_text):
     assert len(pids) == 1
     assert main(demodulate) == 0
     assert [helper.pid for helper in _helpers.pool] == pids
-    assert back.read_text() == bits.read_text()
+    assert_same_text(back.read_text(), bits.read_text())
     frame = Modem("wm2", 6, 512).modulate(read_bits(bits))
-    assert samples.read_text() == naive_cli_io.format_samples(frame)
+    assert_same_text(samples.read_text(), naive_cli_io.format_samples(frame))
 
 
 def test_text_is_serial_with_another_thread_alive(tmp_path, split_text):
@@ -695,9 +735,9 @@ def test_text_is_serial_with_another_thread_alive(tmp_path, split_text):
         other.join(timeout=30)
     assert not other.is_alive()
     assert _helpers.pool == []
-    assert back.read_text() == bits.read_text()
+    assert_same_text(back.read_text(), bits.read_text())
     frame = Modem("wm2", 6, 512).modulate(read_bits(bits))
-    assert samples.read_text() == naive_cli_io.format_samples(frame)
+    assert_same_text(samples.read_text(), naive_cli_io.format_samples(frame))
 
 
 def test_killed_helper_is_replaced_and_output_unchanged(tmp_path, split_text):
@@ -709,13 +749,13 @@ def test_killed_helper_is_replaced_and_output_unchanged(tmp_path, split_text):
         os.kill(killed, signal.SIGKILL)
         samples.unlink()
         assert main(modulate) == 0  # the dead helper's share runs here
-        assert samples.read_bytes() == expected
+        assert_same_text(samples.read_bytes(), expected)
         assert killed not in [helper.pid for helper in _helpers.pool]
         assert main(modulate) == 0  # forks a new helper
-        assert samples.read_bytes() == expected
+        assert_same_text(samples.read_bytes(), expected)
         assert len(_helpers.pool) == 1
     assert main(demodulate) == 0
-    assert back.read_text() == bits.read_text()
+    assert_same_text(back.read_text(), bits.read_text())
 
 
 def run_cli_module_recording_forks(tmp_path, argv):
@@ -750,7 +790,7 @@ def test_cli_process_leaves_no_helper(tmp_path):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
-    assert back.read_text() == bits.read_text()
+    assert_same_text(back.read_text(), bits.read_text())
     # 512 bits in and 1024 samples out stay below the split threshold.
     small = round_trip_files(tmp_path, ("--method", "wm1", "--scales", "6"))
     assert run_cli_module_recording_forks(tmp_path, small[0]) == []

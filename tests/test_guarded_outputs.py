@@ -49,12 +49,12 @@ def sweep(tmp_path, flags, *extra):
     [
         (
             CRITERION_8,
-            "fae2a4f3af5f6a83ce16900b8b031bf45f5bff1479ae04dfd9079a8ed1b23612",
+            "57a03413b93a9a1a8ad7465d1f45daabaec73f63d6b2a20db53b67027d3fbc75",
             "3969f695725d7a1d5e9b9377d58855b577c962deeaedd89e691aef4c3e3e2553",
         ),
         (
             TAPS_6,
-            "c956b6c80738ec71d7788d0bff678a6115e1ac01eb65d6dff14fc1fa98a176bb",
+            "c70901a82e857265b89bb68b838b4428f39835a73cceafab308d9605cf0e383a",
             "f34f572c8339ddc0b7828ed29c9e44365d628fe7af2b56a349b968067da28199",
         ),
     ],
