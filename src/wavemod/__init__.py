@@ -27,10 +27,9 @@ from wavemod.detector import detect_block
 from wavemod.modem import Modem
 from wavemod.ber import BerPoint, ExperimentConfig, run_monte_carlo
 from wavemod.theory import (
-    ber_method1_exact,
+    ber_equal_gain,
     ber_method1_ideal,
-    ber_method2,
-    ber_pam,
+    copy_census,
     q_function,
 )
 
@@ -49,10 +48,9 @@ __all__ = [
     "add_awgn",
     "analysis_step",
     "analyze_pyramid",
-    "ber_method1_exact",
+    "ber_equal_gain",
     "ber_method1_ideal",
-    "ber_method2",
-    "ber_pam",
+    "copy_census",
     "detect_block",
     "level_slice",
     "make_daubechies",

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -16,15 +18,13 @@ from scipy.integrate import quad
 import wavemod
 import wavemod.ber as ber
 
-from wavemod import _helpers, filterbank
+from wavemod import _helpers, codec, filterbank
 from wavemod.ber import ExperimentConfig, run_monte_carlo, snr_at_ber
 from wavemod.modem import Modem
 from wavemod.theory import (
-    ber_method1_exact,
     ber_method1_ideal,
-    ber_method2,
-    ber_pam,
     ber_theory,
+    copy_census,
     energy_per_symbol_factor,
     q_function,
 )
@@ -145,7 +145,7 @@ def test_q_function_keeps_an_array_shape(shape):
 
 def test_method1_ideal_reduces_to_pam():
     for snr in (0.5, 1.0, 4.0):
-        assert float(ber_method1_ideal(1, snr)) == float(ber_pam(snr))
+        assert float(ber_method1_ideal(1, snr)) == float(ber_theory("pam", 1, snr))
 
 
 def test_method1_ideal_m6():
@@ -154,35 +154,36 @@ def test_method1_ideal_m6():
 
 def test_method1_exact_m1_and_m2():
     snr = 1.3
-    assert float(ber_method1_exact(1, snr)) == pytest.approx(float(q_function(math.sqrt(snr))))
+    assert float(ber_theory("wm1", 1, snr)) == pytest.approx(float(q_function(math.sqrt(snr))))
     expected = 0.5 * q_function(math.sqrt(snr)) + 0.5 * q_function(math.sqrt(2 * snr))
-    assert float(ber_method1_exact(2, snr)) == pytest.approx(float(expected), abs=1e-15)
+    assert float(ber_theory("wm1", 2, snr)) == pytest.approx(float(expected), abs=1e-15)
 
 
 def test_method1_exact_dominates_ideal():
     snrs = np.logspace(-2, 1.2, 30)
     for m in (2, 3, 6):
-        assert np.all(ber_method1_exact(m, snrs) >= ber_method1_ideal(m, snrs))
+        assert np.all(ber_theory("wm1", m, snrs) >= ber_method1_ideal(m, snrs))
 
 
 def test_method2_uses_k():
     snr = 0.05
-    assert float(ber_method2(6, snr)) == pytest.approx(float(q_function(math.sqrt(63 * snr))))
-    assert float(ber_method2(1, snr)) == pytest.approx(float(q_function(math.sqrt(snr))))
+    expected = float(q_function(math.sqrt(63 * snr)))
+    assert float(ber_theory("wm2", 6, snr)) == pytest.approx(expected)
+    assert float(ber_theory("wm2", 1, snr)) == pytest.approx(float(q_function(math.sqrt(snr))))
 
 
 def test_method2_beats_ideal_method1():
     snrs = np.logspace(-2, 1, 20)
     for m in (2, 4, 6):
-        assert np.all(ber_method2(m, snrs) <= ber_method1_ideal(m, snrs))
+        assert np.all(ber_theory("wm2", m, snrs) <= ber_method1_ideal(m, snrs))
 
 
 def test_pam_limits():
-    assert float(ber_pam(1e6)) < 1e-12
-    assert float(ber_pam(1e-9)) == pytest.approx(0.5, abs=1e-4)
+    assert float(ber_theory("pam", 1, 1e6)) < 1e-12
+    assert float(ber_theory("pam", 1, 1e-9)) == pytest.approx(0.5, abs=1e-4)
     # copies * snr overflows to inf here, which used to warn; Q(inf) = 0.
-    assert ber_method2(6, 1e308) == 0.0
-    assert ber_method1_exact(6, 1e308) == 0.0
+    assert ber_theory("wm2", 6, 1e308) == 0.0
+    assert ber_theory("wm1", 6, 1e308) == 0.0
     assert ber_method1_ideal(6, 1e308) == 0.0
 
 
@@ -202,7 +203,28 @@ def test_theory_rejects_unknown_method():
 def test_energy_factors():
     assert energy_per_symbol_factor("pam", 6) == 1.0
     assert energy_per_symbol_factor("wm2", 6) == 63.0
-    assert energy_per_symbol_factor("wm1", 6) == pytest.approx(2 - 2**-5)
+    assert energy_per_symbol_factor("wm1", 6) == 2 - 2**-5
+
+
+@pytest.mark.parametrize("num_scales", range(1, 9))
+@pytest.mark.parametrize("method", ["wm1", "wm2"])
+def test_copy_census_is_the_placement(method, num_scales):
+    """The census theory sums over is what codec.copies places: each
+    symbol's index is written to its copies in a zero frame, and the copies
+    of each index are counted."""
+    message_len = 4 * 2 ** (num_scales - 1)
+    n0 = codec.base_length(method, num_scales, message_len)
+    frame = np.zeros(n0 << num_scales)
+    index = np.arange(1, message_len + 1)
+    for rows, sel in codec.copies(frame, method, num_scales):
+        rows[:] = index[sel]
+    counts = np.bincount(frame[n0:].astype(int), minlength=message_len + 1)
+    assert counts[0] == 0  # every detail coefficient carries a copy
+    placed = {int(c): Fraction(n, message_len) for c, n in Counter(counts[1:]).items()}
+    census = copy_census(method, num_scales)
+    assert placed == {c: Fraction(share) for c, share in census.items()}
+    mean = Fraction(int(counts.sum()), message_len)
+    assert Fraction(energy_per_symbol_factor(method, num_scales)) == mean
 
 
 def test_high_snr_run_has_no_errors():
@@ -234,7 +256,7 @@ def test_method1_matches_exact_mixture():
         snr_grid_db=(0.0,), min_errors=200, max_trials=2000, seed=4,
     )
     [point] = run_monte_carlo(cfg)
-    p = float(ber_method1_exact(2, 1.0))
+    p = float(ber_theory("wm1", 2, 1.0))
     assert point.ber_theory == pytest.approx(p)
     se = math.sqrt(p * (1 - p) / point.trials)
     assert abs(point.ber_sim - p) < 3 * se
@@ -402,7 +424,7 @@ def test_sweep_never_synthesizes(monkeypatch, method):
 
 def test_snr_at_ber_inversion():
     snr_db = np.arange(0.0, 10.0, 1.0)
-    ber = np.asarray(ber_pam(10 ** (snr_db / 10)), dtype=float)
+    ber = np.asarray(ber_theory("pam", 1, 10 ** (snr_db / 10)), dtype=float)
     est = snr_at_ber(snr_db, ber, 0.05)
     # True crossing: Q(sqrt(snr)) = 0.05 -> snr_db ~ 4.32
     assert abs(est - 4.3237) < 0.1

@@ -13,11 +13,14 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wavemod
 import wavemod.cli as cli
 from wavemod.cli import main
+from wavemod.modem import METHODS
+from wavemod.theory import ber_method1_ideal, ber_theory, energy_per_symbol_factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference.json"
@@ -64,6 +67,33 @@ def test_sweep_bytes_are_pinned(tmp_path, flags, csv_sha, svg_sha):
     out = sweep(tmp_path, flags, "--plot")
     assert sha256(out) == csv_sha
     assert sha256(out.with_suffix(".svg")) == svg_sha
+
+
+def test_theory_bytes_are_pinned():
+    """Every theory curve, its scalar type and the energy factor, over
+    3 methods x M = 1..24 x 325 SNRs: -40..40 dB in 0.25 dB steps plus
+    1e308 (copies * snr overflows), 1e-300, the smallest subnormal and 0."""
+    snrs = np.concatenate([10.0 ** (np.arange(-160, 161) / 40), [1e308, 1e-300, 5e-324, 0.0]])
+    digest = hashlib.sha256()
+    for m in range(1, 25):
+        values = [ber_theory(method, m, snr) for snr in (snrs, 1.0) for method in METHODS]
+        values += [ber_method1_ideal(m, snrs), ber_method1_ideal(m, 1.0)]
+        values += [energy_per_symbol_factor(method, m) for method in METHODS]
+        for value in values:
+            digest.update(type(value).__name__.encode())
+            digest.update(np.asarray(value).tobytes())
+    assert digest.hexdigest() == "79f7053d90e408bfa11db68fc86d824177889604e4f180461c6d313b98d22a17"
+
+
+def test_star_import_yields_every_listed_name():
+    namespace = {}
+    exec("from wavemod import *", namespace)
+    assert set(wavemod.__all__) <= namespace.keys()
+
+
+def test_method1_energy_factor_is_the_closed_form():
+    for m in range(1, 1024):
+        assert energy_per_symbol_factor("wm1", m) == 2.0 - 2.0 ** (1 - m)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
