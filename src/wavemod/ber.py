@@ -91,8 +91,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[BerPoint]:
 
     Per point, message blocks are sent through cfg.modem.transmit with
     fresh noise until min_errors bit errors are seen or max_trials blocks
-    have been sent. The noise and placement buffers live for the whole
-    point, so a block allocates no frame-sized array. Deterministic for a
+    have been sent. The noise buffer lives for the whole point and the
+    message is placed onto it once analyzed, so a block allocates no
+    frame-sized array. Deterministic for a
     fixed seed: every block draws its bits and noise from substreams keyed
     by (seed, point index, block index), so the result is independent of
     execution order.

@@ -7,11 +7,11 @@ scale m carries every 2**(M-1-m)-th symbol, so a symbol's copy count is
 Method 2 ("wm2") repeats the whole L-symbol message periodically at every
 scale, giving each symbol exactly K = 2**M - 1 copies.
 
-Both return one frame laid out as filterbank.level_slice says, coarse
-branch zero, in a fresh array or in the caller's out=. copies() is the
-one statement of where each level's copies go: the placements write
-through it and detector.detect_block reads through it. Bit polarity is
-fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
+Both add the copies onto the caller's out= (Modem.transmit's analyzed
+noise) or into a fresh zero frame, laid out as filterbank.level_slice
+says. copies() is the one statement of where each level's copies go:
+the placements add through it and detector.detect_block reads through
+it. Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
 """
 
 from math import sqrt
@@ -79,30 +79,24 @@ def copies(frame: np.ndarray, method: str, num_scales: int):
 
 def _place(a: np.ndarray, method: str, num_scales: int, out) -> np.ndarray:
     n = base_length(method, num_scales, len(a)) << num_scales
-    if out is None:
-        frame = np.zeros(n)
-    elif len(out) != n:
-        raise ShapeError(f"output of {len(out)} samples for a frame of {n}")
-    else:
-        # Every detail coefficient is a copy, so only the coarse branch
-        # keeps what out held before.
-        frame = out
-        frame[: n >> num_scales] = 0.0
+    frame = np.zeros(n) if out is None else out
+    if len(frame) != n:
+        raise ShapeError(f"output of {len(frame)} samples for a frame of {n}")
     for rows, sel in copies(frame, method, num_scales):
-        rows[:] = a[sel]
+        rows += a[sel]
     return frame
 
 
 def place_method1(a: np.ndarray, num_scales: int, out=None) -> np.ndarray:
     """Decimation placement of symbols a: scale m holds every
-    2**(M-1-m)-th symbol. The frame goes into out (a float64 array of
-    frame length) or a fresh array."""
+    2**(M-1-m)-th symbol. The copies are added onto out (a float64 array
+    of frame length) or placed in a fresh array."""
     return _place(a, METHOD1, num_scales, out)
 
 
 def place_method2(a: np.ndarray, num_scales: int, out=None) -> np.ndarray:
     """Repetition placement of symbols a: scale m holds 2**m periods of the
     message, so the levels together are 2**M - 1 back-to-back periods.
-    The frame goes into out (a float64 array of frame length) or a fresh
-    array."""
+    The copies are added onto out (a float64 array of frame length) or
+    placed in a fresh array."""
     return _place(a, METHOD2, num_scales, out)

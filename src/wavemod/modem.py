@@ -38,10 +38,9 @@ class Modem:
     """One modulate/demodulate chain: method, scale count, message length,
     filter taps and per-copy symbol energy E0. PAM ignores scales and taps.
 
-    A modem owns the pyramid work areas and, for transmit, a placement
-    buffer, which every block reuses. Each is built on first use, so one
-    Modem is not for concurrent use. Pickling keeps only the constructor
-    fields: the copy builds its own.
+    A modem owns the pyramid work areas, which every block reuses. Each is
+    built on first use, so one Modem is not for concurrent use. Pickling
+    keeps only the constructor fields: the copy builds its own.
     """
 
     method: str
@@ -135,10 +134,11 @@ class Modem:
 
         The pyramid is orthonormal and linear, so the analyzed block is
         the placed frame plus the analyzed noise: noise is analyzed in
-        place and the placed frame added to it. PAM adds the symbols to
-        the noise, the full chain's bits exactly. For the wavelet methods
-        the sums round differently, so a decision can differ from the full
-        chain's only where a copy sum is within rounding of zero.
+        place and the message's copies are added onto it, with no frame
+        of their own. PAM adds the symbols to the noise, the full chain's
+        bits exactly. For the wavelet methods the sums round differently,
+        so a decision can differ from the full chain's only where a copy
+        sum is within rounding of zero.
         """
         if len(noise) != self.num_samples:
             raise ShapeError(f"noise has {len(noise)} samples, expected {self.num_samples}")
@@ -149,7 +149,7 @@ class Modem:
         frame = filterbank.analyze_pyramid(
             noise, self.num_scales, self.filter_pair, self._analysis_work, out=noise
         )
-        frame += self._place(symbols, out=self._placed)
+        self._place(symbols, out=frame)
         return detector.detect_block(frame, self.method, self.num_scales, self.message_len)
 
     def _symbols(self, bits) -> np.ndarray:
@@ -161,10 +161,6 @@ class Modem:
         if self.method == METHOD1:
             return codec.place_method1(symbols, self.num_scales, out)
         return codec.place_method2(symbols, self.num_scales, out)
-
-    @cached_property
-    def _placed(self) -> np.ndarray:
-        return np.empty(self.num_samples)
 
     @cached_property
     def _synthesis_work(self) -> np.ndarray:

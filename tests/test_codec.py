@@ -197,14 +197,21 @@ def test_gather_shape_mismatch():
 
 
 @pytest.mark.parametrize("method, place", [(METHOD1, place_method1), (METHOD2, place_method2)])
-def test_placement_into_a_dirty_buffer_gives_the_fresh_bytes(method, place):
+def test_placement_onto_a_frame_adds_the_copies(method, place):
+    """With out=, placement is superposition: each detail coefficient is
+    what it held plus its copy, bit for bit, and the coarse branch keeps
+    its bytes, -0.0 and nan included."""
     num_scales = 4
-    a = symbols_of(np.random.default_rng(6).integers(0, 2, 24), 2.0)
+    rng = np.random.default_rng(6)
+    a = symbols_of(rng.integers(0, 2, 24), 2.0)
     fresh = place(a, num_scales)
-    dirty = np.full(len(fresh), np.nan)
-    dirty[: len(fresh) >> num_scales] = -0.0
-    out = place(a, num_scales, out=dirty)
-    assert out is dirty
-    assert out.tobytes() == fresh.tobytes()
+    n0 = len(fresh) >> num_scales
+    before = rng.standard_normal(len(fresh))
+    before[:2] = [-0.0, np.nan]
+    frame = before.copy()
+    out = place(a, num_scales, out=frame)
+    assert out is frame
+    assert out[n0:].tobytes() == (before[n0:] + fresh[n0:]).tobytes()
+    assert out[:n0].tobytes() == before[:n0].tobytes()
     with pytest.raises(ShapeError, match="output"):
         place(a, num_scales, out=np.empty(len(fresh) + 1))

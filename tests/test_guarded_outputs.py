@@ -18,8 +18,9 @@ import pytest
 
 import wavemod
 import wavemod.cli as cli
+from wavemod import _helpers
 from wavemod.cli import main
-from wavemod.modem import METHODS
+from wavemod.modem import METHODS, Modem
 from wavemod.theory import ber_method1_ideal, ber_theory, energy_per_symbol_factor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -67,6 +68,45 @@ def test_sweep_bytes_are_pinned(tmp_path, flags, csv_sha, svg_sha):
     out = sweep(tmp_path, flags, "--plot")
     assert sha256(out) == csv_sha
     assert sha256(out.with_suffix(".svg")) == svg_sha
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the machine, so that a 32768-line text is
+    split into shares, and no helper before or after the test."""
+    _helpers.stop()
+    monkeypatch.setattr(_helpers, "usable_cpus", lambda: 2)
+    yield
+    _helpers.stop()
+
+
+@pytest.mark.parametrize(
+    "method, sha",
+    [
+        ("wm1", "86e6aac5955fd843770e3cd657b06dc293198dd8cdca43bd10686b1721988e9c"),
+        ("wm2", "61bf34bf58f3f889d78e0c3a784ff5cfd91dd8c28f830c6cf6f6e5ce466706b6"),
+    ],
+)
+def test_modulate_bytes_are_pinned(tmp_path, two_cpus, method, sha):
+    bits = tmp_path / "bits.txt"
+    bits.write_text("".join(f"{b}\n" for b in np.random.default_rng(20).integers(0, 2, 512)))
+    out = tmp_path / "samples.txt"
+    flags = ["--method", method, "--scales", "6", "--taps", "8", "--energy", "2.5"]
+    assert main(["modulate", str(bits), "--out", str(out), *flags]) == 0
+    assert sha256(out) == sha
+
+
+def test_demodulate_bytes_are_pinned(tmp_path, two_cpus):
+    """A wm2 frame of 512 bits at -18 dB per copy, so that some copy sums
+    fall near zero; its 32768 lines are parsed in two shares."""
+    rng = np.random.default_rng(21)
+    frame = Modem("wm2", 6, 512).modulate(rng.integers(0, 2, 512))
+    samples = tmp_path / "samples.txt"
+    samples.write_text(("%.17g\n" * len(frame)) % tuple(frame + rng.normal(0.0, 8.0, len(frame))))
+    out = tmp_path / "bits.txt"
+    flags = ["--method", "wm2", "--scales", "6", "--taps", "4"]
+    assert main(["demodulate", str(samples), "--out", str(out), *flags]) == 0
+    assert sha256(out) == "b9b2c7945142fcc642d20a780bb9e5db09d7129ffe745314c489e1290c97f8ea"
 
 
 def test_theory_bytes_are_pinned():
