@@ -2,19 +2,34 @@
 
 Filters use the unit-norm convention: sum(h) = sqrt(2), sum(h**2) = 1.
 The wavelet filter is the quadrature mirror g(n) = (-1)^n h(T-1-n).
+
+The scaling filters h are exact float64 bits: Haar is 1/sqrt(2.0), and
+taps 4, 6 and 8 are the minimum-phase factorization of Daubechies' half-band
+polynomial (Comm. Pure Appl. Math. 41, 1988) as a float64 root finder gave
+it. tests/test_filters.py re-derives them at 50 digits and checks the table.
 """
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from wavemod.errors import ConfigurationError
 
-SUPPORTED_TAPS = (2, 4, 6, 8)
-
 _TOL = 1e-12
+
+_SCALING_HEX = {
+    2: ("0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1"),
+    4: ("0x1.ee8dd4748bf15p-2", "0x1.ac4bdd6e3fd70p-1", "0x1.cb0bf0b6b7109p-3",
+        "-0x1.0907dc1930690p-3"),
+    6: ("0x1.54a796e50d268p-2", "0x1.9d20e247d28c0p-1", "0x1.d6ea20bf0f746p-2",
+        "-0x1.1480a85c5963ap-3", "-0x1.5df7ab50d484bp-4", "0x1.2092e373789bbp-5"),
+    8: ("0x1.d7d052af15eb2p-3", "0x1.6e005ea45d73fp-1", "0x1.4302cdd3de437p-1",
+        "-0x1.ca7c6f9db5acfp-6", "-0x1.7f0c1b7c604b7p-3", "0x1.f94e219638396p-6",
+        "0x1.0d60ac768116fp-5", "-0x1.5b41730b72e18p-7"),
+}
+
+SUPPORTED_TAPS = tuple(_SCALING_HEX)
 
 
 @dataclass(frozen=True)
@@ -25,42 +40,19 @@ class FilterPair:
     g: np.ndarray
 
 
-def _daubechies_scaling(p: int) -> np.ndarray:
-    """Minimum-phase Daubechies scaling filter with p vanishing moments.
+def _pair(h_hex: tuple[str, ...]) -> FilterPair:
+    # Rows of one read-only array: no caller can make a shared pair writable.
+    h = np.array([float.fromhex(x) for x in h_hex])
+    hg = np.stack((h, (-1.0) ** np.arange(len(h)) * h[::-1]))
+    hg.setflags(write=False)
+    return FilterPair(*hg)
 
-    Spectral factorization: the half-band polynomial is
-    P(y) = sum_k C(p-1+k, k) y^k evaluated at y = (2 - z - 1/z)/4;
-    the roots inside the unit circle are kept (minimum phase) together
-    with the p-fold zero at z = -1.
-    """
-    if p == 1:
-        return np.array([1.0, 1.0]) / sqrt(2.0)
 
-    # Q(z) = z^(p-1) P(y(z)), an ordinary polynomial of degree 2(p-1).
-    q = np.zeros(2 * p - 1)
-    for k in range(p):
-        term = comb(p - 1 + k, k) * (-0.25) ** k
-        factor = P.polypow([-1.0, 1.0], 2 * k)  # (z - 1)^(2k)
-        shifted = np.zeros(2 * p - 1)
-        shifted[p - 1 - k : p - 1 - k + len(factor)] = term * factor
-        q += shifted
-
-    roots = np.roots(q[::-1])
-    inside = roots[np.abs(roots) < 1.0]
-
-    h = P.polyfromroots(np.concatenate((np.full(p, -1.0 + 0.0j), inside)))
-    h = np.real(h)
-    h *= sqrt(2.0) / h.sum()
-
-    # Orient so the energy-heavy taps lead (the published "db" ordering).
-    half = len(h) // 2
-    if np.sum(h[:half] ** 2) < np.sum(h[half:] ** 2):
-        h = h[::-1]
-    return h
+_PAIRS = {taps: _pair(h_hex) for taps, h_hex in _SCALING_HEX.items()}
 
 
 def make_daubechies(taps: int) -> FilterPair:
-    """Construct the Daubechies filter pair with the given even tap count.
+    """The Daubechies filter pair with the given even tap count.
 
     taps=2 is Haar; taps=2p gives p vanishing moments, minimum-phase roots.
     """
@@ -68,11 +60,7 @@ def make_daubechies(taps: int) -> FilterPair:
         raise ConfigurationError(
             f"unsupported tap count {taps}; supported values: {SUPPORTED_TAPS}"
         )
-    h = np.ascontiguousarray(_daubechies_scaling(taps // 2))
-    g = np.ascontiguousarray((-1.0) ** np.arange(taps) * h[::-1])
-    h.setflags(write=False)
-    g.setflags(write=False)
-    return FilterPair(h=h, g=g)
+    return _PAIRS[taps]
 
 
 def validate_filter_pair(fp: FilterPair) -> list[str]:

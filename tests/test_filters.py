@@ -1,15 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+import wavemod
 from wavemod.errors import ConfigurationError
-from wavemod.filters import FilterPair, make_daubechies, validate_filter_pair
+from wavemod.filters import SUPPORTED_TAPS, FilterPair, make_daubechies, validate_filter_pair
 
 SQRT2 = math.sqrt(2.0)
 
-# Published minimum-phase Daubechies scaling coefficients (unit-norm
-# convention), used as an independent cross-check of the factorization.
+# Published minimum-phase Daubechies scaling coefficients (Daubechies, Comm.
+# Pure Appl. Math. 41, 1988; unit-norm convention), an independent check of
+# the filter table next to the 50-digit factorization below.
 PUBLISHED = {
     6: [
         0.332670552950083,
@@ -30,6 +38,81 @@ PUBLISHED = {
         -0.010597401784997,
     ],
 }
+
+
+def factorized_scaling(taps):
+    """Minimum-phase Daubechies scaling filter with taps/2 vanishing moments,
+    at 50 digits, with no float64 root finder.
+
+    Spectral factorization: the half-band polynomial is
+    P(y) = sum_k C(p-1+k, k) y^k evaluated at y = (2 - z - 1/z)/4; the
+    roots inside the unit circle are kept (minimum phase) together with the
+    p-fold zero at z = -1, and the energy-heavy taps lead (the published
+    ordering).
+    """
+    p = taps // 2
+    with mpmath.workdps(50):
+        # Q(z) = z^(p-1) P(y(z)), degree 2(p-1), coefficients in ascending powers.
+        q = [mpmath.mpf(0)] * (2 * p - 1)
+        for k in range(p):
+            term = math.comb(p - 1 + k, k) * mpmath.mpf(-0.25) ** k
+            for j in range(2 * k + 1):  # (z - 1)^(2k)
+                q[p - 1 - k + j] += term * math.comb(2 * k, j) * (-1) ** j
+        roots = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=100) if p > 1 else []
+        h = [mpmath.mpc(1)]
+        for root in [mpmath.mpf(-1)] * p + [r for r in roots if abs(r) < 1]:
+            h = [a - root * b for a, b in zip([0] + h, h + [0])]  # h(z) * (z - root)
+        h = [mpmath.re(c) for c in h]
+        h = [c * mpmath.sqrt(2) / sum(h) for c in h]
+        if sum(c**2 for c in h[:p]) < sum(c**2 for c in h[p:]):
+            h = h[::-1]
+        return [float(c) for c in h]
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_table_matches_factorization(taps):
+    expected = factorized_scaling(taps)
+    np.testing.assert_allclose(make_daubechies(taps).h, expected, rtol=0, atol=1e-13)
+
+
+def test_haar_is_the_float_quotient():
+    # 1/sqrt(2.0) rounds twice, so it is 1 ulp below the factorization's
+    # correctly rounded 1/sqrt(2); the pinned bytes rest on the quotient.
+    assert make_daubechies(2).h.tolist() == [1.0 / math.sqrt(2.0)] * 2
+
+
+def test_runtime_path_needs_no_root_finder():
+    """A fresh interpreter builds every pair through the CLI's imports with
+    numpy's root finders disabled, and never imports numpy.polynomial."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("root finder called")
+
+        np.roots = np.linalg.eigvals = refuse
+        import wavemod.cli
+        from wavemod.filters import SUPPORTED_TAPS, make_daubechies
+
+        pairs = [make_daubechies(taps) for taps in SUPPORTED_TAPS]
+        print(len(pairs), "numpy.polynomial" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == [str(len(SUPPORTED_TAPS)), "False"]
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+def test_shared_pairs_are_read_only(taps):
+    fp = make_daubechies(taps)
+    for coefficients in (fp.h, fp.g):
+        with pytest.raises(ValueError):
+            coefficients[0] = 0.0
+        with pytest.raises(ValueError):
+            coefficients.setflags(write=True)
 
 
 def test_haar_is_exact():

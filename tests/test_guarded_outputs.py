@@ -11,6 +11,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,9 @@ import pytest
 
 import wavemod
 import wavemod.cli as cli
-from wavemod import _helpers
+from wavemod import _helpers, ber
 from wavemod.cli import main
+from wavemod.filters import make_daubechies
 from wavemod.modem import METHODS, Modem
 from wavemod.theory import ber_method1_ideal, ber_theory, energy_per_symbol_factor
 
@@ -123,6 +125,54 @@ def test_theory_bytes_are_pinned():
             digest.update(type(value).__name__.encode())
             digest.update(np.asarray(value).tobytes())
     assert digest.hexdigest() == "79f7053d90e408bfa11db68fc86d824177889604e4f180461c6d313b98d22a17"
+
+
+def test_filter_bytes_are_pinned():
+    """h then g of taps 2, 4, 6 and 8: the bits every pyramid pin rests on."""
+    digest = hashlib.sha256()
+    for taps in (2, 4, 6, 8):
+        fp = make_daubechies(taps)
+        digest.update(fp.h.tobytes())
+        digest.update(fp.g.tobytes())
+    assert digest.hexdigest() == "03828d08b469c49bb1f9e9e1b626674d6ebaef5f0546280ff6dc6f6c3ddbe07e"
+
+
+# The pins above rest on two things outside this repository. These
+# fingerprints tell a changed premise from a broken program: on a mismatch
+# the named pins cannot hold on this toolchain, whatever the code does.
+STREAM_PINS = (
+    "test_sweep_bytes_are_pinned, test_modulate_bytes_are_pinned, "
+    "test_demodulate_bytes_are_pinned, test_benchmark_sweeps_match_reference "
+    "and the rows of perfbench/reference.json"
+)
+ERFC_PINS = "test_theory_bytes_are_pinned and test_sweep_bytes_are_pinned"
+
+
+def test_premise_numpy_generator_streams():
+    bits = ber._stream(0, ber._MESSAGE_TAG, 0, 0).integers(0, 2, 32)
+    normals = ber._stream(0, ber._NOISE_TAG).standard_normal(4)
+    fingerprint = ("".join(map(str, bits)), [x.hex() for x in normals.tolist()])
+    assert fingerprint == (
+        "10000110000010100000000111110001",
+        ["0x1.77edc8ebf2be5p+0", "0x1.855a220b94f99p-1",
+         "0x1.45cbc831bd7d2p-1", "0x1.29e3eb6cb5cbap-1"],
+    ), (
+        "premise changed: the numpy Generator streams through ber._stream (SeedSequence, "
+        f"PCG64, integers, standard_normal) under numpy {np.__version__} differ from those "
+        f"the pins were made with (numpy 2.4.6, constraints.txt), which voids {STREAM_PINS}"
+    )
+
+
+def test_premise_libm_erfc():
+    args = [-0.5, 0.3, 0.84375, 1.25, 2.857142857142857, 6.0, 26.5]
+    assert [math.erfc(x).hex() for x in args] == [
+        "0x1.853f7ae0c76e9p+0", "0x1.57be3bbf10af8p-1", "0x1.dcb8cae2d747ep-3",
+        "0x1.3bcd133aa0ffcp-4", "0x1.bf37512335aedp-15", "0x1.8cf81557d20b7p-56",
+        "0x1.3df6725a60cf5p-1019",
+    ], (
+        "premise changed: this libm's erfc (math.erfc) gives other bits than glibc 2.36's, "
+        f"which voids {ERFC_PINS}"
+    )
 
 
 def test_star_import_yields_every_listed_name():
