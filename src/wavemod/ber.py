@@ -7,7 +7,6 @@ SNR throughout is per-copy: E0 / sigma^2, in dB as 10*log10(E0/sigma^2).
 
 from dataclasses import dataclass
 from math import ceil, isfinite, log10, sqrt
-from numbers import Integral
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from wavemod import _helpers
 from wavemod.channel import add_awgn
 from wavemod.codec import METHOD1
 from wavemod.errors import ConfigurationError
-from wavemod.modem import Modem
+from wavemod.modem import Modem, require_integer
 from wavemod.theory import ber_method1_ideal, ber_theory
 
 
@@ -59,9 +58,7 @@ class ExperimentConfig:
                     "gives a linear SNR or noise level that is not finite and > 0"
                 )
         for name in ("seed", "min_errors", "max_trials"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            require_integer(name, getattr(self, name))
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.min_errors < 1:

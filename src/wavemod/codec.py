@@ -7,11 +7,15 @@ scale m carries every 2**(M-1-m)-th symbol, so a symbol's copy count is
 Method 2 ("wm2") repeats the whole L-symbol message periodically at every
 scale, giving each symbol exactly K = 2**M - 1 copies.
 
+At depth 0, the PAM baseline's chain, Method 2's placement puts the
+message once into the coarse branch, which is then the whole frame.
+
 Both add the copies onto the caller's out= (Modem.transmit's analyzed
 noise) or into a fresh zero frame, laid out as filterbank.level_slice
 says. copies() is the one statement of where each level's copies go:
 the placements add through it and detector.detect_block reads through
 it. Bit polarity is fixed: bit 1 -> +sqrt(E0), bit 0 -> -sqrt(E0).
+Nothing here checks the method/scales/length contract: a Modem does.
 """
 
 from math import sqrt
@@ -19,7 +23,7 @@ from math import sqrt
 import numpy as np
 
 from wavemod.errors import ConfigurationError, ShapeError
-from wavemod.filterbank import level_slice
+from wavemod.filterbank import _base_length, level_slice
 
 METHOD1 = "wm1"
 METHOD2 = "wm2"
@@ -36,28 +40,14 @@ def symbols(bits, energy: float) -> np.ndarray:
     return (2.0 * bits - 1.0) * sqrt(energy)
 
 
-def base_length(method: str, num_scales: int, message_len: int) -> int:
-    """Coarse length n0 of the frame that places a message_len-symbol message.
+def symbols_per_coarse_sample(method: str, num_scales: int) -> int:
+    """L / n0, the message symbols a frame carries per coarse sample.
 
     A frame has n0 * 2**M coefficients. Method 2 repeats the message, so
-    n0 = L; Method 1 decimates it by up to 2**(M-1), so it needs a message
-    length divisible by that factor and n0 = L / 2**(M-1).
+    n0 = L; Method 1 decimates it by up to 2**(M-1), so n0 = L / 2**(M-1).
+    PAM's frame is its message at depth 0, so n0 = L.
     """
-    if method not in (METHOD1, METHOD2):
-        raise ConfigurationError(f"unknown placement method {method!r}")
-    if num_scales < 1:
-        raise ConfigurationError("num_scales must be >= 1")
-    if message_len < 1:
-        raise ConfigurationError("message_len must be >= 1")
-    if method == METHOD2:
-        return message_len
-    factor = 2 ** (num_scales - 1)
-    if message_len % factor != 0:
-        raise ConfigurationError(
-            f"Method 1 with {num_scales} scales needs a message length "
-            f"divisible by {factor}, got {message_len}"
-        )
-    return message_len // factor
+    return 1 << (num_scales - 1) if method == METHOD1 else 1
 
 
 def copies(frame: np.ndarray, method: str, num_scales: int):
@@ -66,9 +56,14 @@ def copies(frame: np.ndarray, method: str, num_scales: int):
     Yields, for detail levels m = 0..M-1 in order, (rows, sel): a 2-D view
     of level m whose every row holds the message symbols a[sel]. Method 1,
     level m: one row of every 2**(M-1-m)-th symbol. Method 2, level m:
-    2**m rows of the whole message.
+    2**m rows of the whole message. At depth 0 there is no detail level:
+    the frame is one row of the whole message, the coarse branch.
+
+    A frame whose length is not a multiple of 2**M raises ShapeError.
     """
-    n0 = len(frame) >> num_scales
+    n0 = _base_length(len(frame), num_scales)
+    if num_scales == 0:
+        yield frame[np.newaxis], slice(None)
     for m in range(num_scales):
         level = frame[level_slice(n0, m)]
         if method == METHOD1:
@@ -78,7 +73,7 @@ def copies(frame: np.ndarray, method: str, num_scales: int):
 
 
 def _place(a: np.ndarray, method: str, num_scales: int, out) -> np.ndarray:
-    n = base_length(method, num_scales, len(a)) << num_scales
+    n = len(a) // symbols_per_coarse_sample(method, num_scales) << num_scales
     frame = np.zeros(n) if out is None else out
     if len(frame) != n:
         raise ShapeError(f"output of {len(frame)} samples for a frame of {n}")

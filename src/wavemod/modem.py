@@ -1,9 +1,10 @@
 """The modem chain shared by the file CLI and the Monte Carlo harness.
 
-A Modem checks the method/scales/length contract once, when it is built.
-modulate places the message (Method 1 or 2) and synthesizes the frame;
-demodulate analyzes it and runs the equal-gain ML detector. PAM, the
-baseline, sends antipodal symbols and decides on their signs. transmit,
+A Modem checks the method/scales/length contract once, when it is built;
+the layers below derive every length from their arrays. modulate places
+the message (Method 1 or 2) and synthesizes the frame; demodulate
+analyzes it and runs the equal-gain ML detector. PAM, the baseline, is
+the same chain at depth 0, where the pyramids copy their input. transmit,
 for the Monte Carlo harness, is demodulate(modulate(bits) + noise)
 computed without synthesis.
 """
@@ -11,6 +12,7 @@ computed without synthesis.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -33,10 +35,34 @@ MAX_FRAME_SAMPLES = 2**24
 _MAX_SCALES = MAX_FRAME_SAMPLES.bit_length() - 1
 
 
+def require_integer(name: str, value) -> None:
+    """ConfigurationError unless value is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def _geometry(method: str, num_scales: int) -> tuple[int, int]:
+    """(pyramid depth, symbols per coarse sample) of a checked method and
+    scale count; a depth over the cap is refused before 2**depth is built."""
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown method {method!r}; supported methods: {METHODS}")
+    require_integer("num_scales", num_scales)
+    if num_scales < 1:
+        raise ConfigurationError("num_scales must be >= 1")
+    depth = 0 if method == PAM else num_scales
+    if depth > _MAX_SCALES:
+        raise ConfigurationError(
+            f"{method} with {num_scales} scales needs frames of at least 2^{num_scales} "
+            f"samples, over the cap of {MAX_FRAME_SAMPLES} samples"
+        )
+    return depth, codec.symbols_per_coarse_sample(method, depth)
+
+
 @dataclass(frozen=True)
 class Modem:
     """One modulate/demodulate chain: method, scale count, message length,
-    filter taps and per-copy symbol energy E0. PAM ignores scales and taps.
+    filter taps and per-copy symbol energy E0. PAM ignores scales, not
+    taps: it runs the depth-0 chain with the taps' filter pair.
 
     A modem owns the pyramid work areas, which every block reuses. Each is
     built on first use, so one Modem is not for concurrent use. Pickling
@@ -49,36 +75,32 @@ class Modem:
     taps: int = 4
     symbol_energy: float = 1.0
     filter_pair: filters.FilterPair = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)  # of the pyramids
     num_samples: int = field(init=False, repr=False, compare=False)  # per frame
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; supported methods: {METHODS}"
-            )
-        if self.num_scales < 1:
-            raise ConfigurationError("num_scales must be >= 1")
+        depth, rate = _geometry(self.method, self.num_scales)
+        require_integer("message_len", self.message_len)
+        require_integer("taps", self.taps)
         if self.message_len < 1:
             raise ConfigurationError("message_len must be >= 1")
         if not (math.isfinite(self.symbol_energy) and self.symbol_energy > 0):
             raise ConfigurationError(
                 f"symbol energy must be finite and > 0, got {self.symbol_energy}"
             )
-        fp = None
-        if self.method == PAM:
-            num_samples = self.message_len
-        elif self.num_scales > _MAX_SCALES:
-            num_samples = math.inf  # skips building 2**num_scales
-        else:
-            n0 = codec.base_length(self.method, self.num_scales, self.message_len)
-            num_samples = n0 << self.num_scales
-            fp = filters.make_daubechies(self.taps)
+        if self.message_len % rate != 0:
+            raise ConfigurationError(
+                f"Method 1 with {self.num_scales} scales needs a message length "
+                f"divisible by {rate}, got {self.message_len}"
+            )
+        num_samples = self.message_len // rate << depth
         if num_samples > MAX_FRAME_SAMPLES:
             raise ConfigurationError(
                 f"{self.method} with {self.num_scales} scales and {self.message_len} bits "
                 f"needs frames over the cap of {MAX_FRAME_SAMPLES} samples"
             )
-        object.__setattr__(self, "filter_pair", fp)
+        object.__setattr__(self, "filter_pair", filters.make_daubechies(self.taps))
+        object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "num_samples", num_samples)
 
     def __reduce__(self):
@@ -94,39 +116,25 @@ class Modem:
         length. E0 stays 1: the detector decides on the sign of the copy
         sums only, so the energy never changes a decision.
         """
-        message_len = num_samples
-        # A PAM frame is the message; a depth out of range is left for the
-        # constructor to reject.
-        if method in (METHOD1, METHOD2) and 1 <= num_scales <= _MAX_SCALES:
-            if num_samples % 2**num_scales != 0:
-                raise ConfigurationError(
-                    f"sample count {num_samples} not divisible by 2^{num_scales}"
-                )
-            # n0 = N / 2**M coarse samples; Method 1 carries 2**(M-1) symbols per n0.
-            message_len = num_samples >> num_scales
-            if method == METHOD1:
-                message_len <<= num_scales - 1
-        return cls(method, num_scales, message_len, taps)
+        depth, rate = _geometry(method, num_scales)
+        if num_samples % (1 << depth) != 0:
+            raise ConfigurationError(f"sample count {num_samples} not divisible by 2^{num_scales}")
+        return cls(method, num_scales, (num_samples >> depth) * rate, taps)
 
     def modulate(self, bits) -> np.ndarray:
         """message_len bits (0 or 1) -> one frame of samples, a new array."""
-        symbols = self._symbols(bits)
-        if self.method == PAM:
-            return symbols
         return filterbank.synthesize_pyramid(
-            self._place(symbols), self.num_scales, self.filter_pair, self._synthesis_work
+            self._place(self._symbols(bits)), self.depth, self.filter_pair, self._synthesis_work
         )
 
     def demodulate(self, samples) -> np.ndarray:
         """One frame of samples -> message_len detected bits (int64)."""
         if len(samples) != self.num_samples:
             raise ShapeError(f"frame has {len(samples)} samples, expected {self.num_samples}")
-        if self.method == PAM:
-            return (np.asarray(samples) > 0).astype(np.int64)
         frame = filterbank.analyze_pyramid(
-            samples, self.num_scales, self.filter_pair, self._analysis_work
+            samples, self.depth, self.filter_pair, self._analysis_work
         )
-        return detector.detect_block(frame, self.method, self.num_scales, self.message_len)
+        return detector.detect_block(frame, self.method, self.depth)
 
     def transmit(self, bits, noise: np.ndarray) -> np.ndarray:
         """demodulate(modulate(bits) + noise) without synthesis; noise, a
@@ -135,22 +143,19 @@ class Modem:
         The pyramid is orthonormal and linear, so the analyzed block is
         the placed frame plus the analyzed noise: noise is analyzed in
         place and the message's copies are added onto it, with no frame
-        of their own. PAM adds the symbols to the noise, the full chain's
-        bits exactly. For the wavelet methods the sums round differently,
-        so a decision can differ from the full chain's only where a copy
-        sum is within rounding of zero.
+        of their own. At depth 0 (PAM) that adds the symbols to the noise,
+        the full chain's bits exactly. For the wavelet methods the sums
+        round differently, so a decision can differ from the full chain's
+        only where a copy sum is within rounding of zero.
         """
         if len(noise) != self.num_samples:
             raise ShapeError(f"noise has {len(noise)} samples, expected {self.num_samples}")
         symbols = self._symbols(bits)
-        if self.method == PAM:
-            noise += symbols
-            return (noise > 0).astype(np.int64)
         frame = filterbank.analyze_pyramid(
-            noise, self.num_scales, self.filter_pair, self._analysis_work, out=noise
+            noise, self.depth, self.filter_pair, self._analysis_work, out=noise
         )
         self._place(symbols, out=frame)
-        return detector.detect_block(frame, self.method, self.num_scales, self.message_len)
+        return detector.detect_block(frame, self.method, self.depth)
 
     def _symbols(self, bits) -> np.ndarray:
         if len(bits) != self.message_len:
@@ -158,14 +163,15 @@ class Modem:
         return codec.symbols(bits, self.symbol_energy)
 
     def _place(self, symbols, out=None) -> np.ndarray:
-        if self.method == METHOD1:
-            return codec.place_method1(symbols, self.num_scales, out)
-        return codec.place_method2(symbols, self.num_scales, out)
+        # PAM's depth-0 frame takes Method 2's placement: one copy per symbol.
+        place = codec.place_method1 if self.method == METHOD1 else codec.place_method2
+        return place(symbols, self.depth, out)
 
+    # At depth 0 no pyramid step runs, so the work areas hold no frame.
     @cached_property
     def _synthesis_work(self) -> np.ndarray:
-        return filterbank.synthesis_work(self.num_samples, self.filter_pair)
+        return filterbank.synthesis_work(self.num_samples if self.depth else 0, self.filter_pair)
 
     @cached_property
     def _analysis_work(self) -> np.ndarray:
-        return filterbank.analysis_work(self.num_samples, self.filter_pair)
+        return filterbank.analysis_work(self.num_samples if self.depth else 0, self.filter_pair)

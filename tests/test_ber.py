@@ -207,19 +207,22 @@ def test_energy_factors():
 
 
 @pytest.mark.parametrize("num_scales", range(1, 9))
-@pytest.mark.parametrize("method", ["wm1", "wm2"])
+@pytest.mark.parametrize("method", ["wm1", "wm2", "pam"])
 def test_copy_census_is_the_placement(method, num_scales):
     """The census theory sums over is what codec.copies places: each
     symbol's index is written to its copies in a zero frame, and the copies
-    of each index are counted."""
+    of each index are counted. PAM's chain runs at depth 0, where the
+    frame is the message: each symbol is placed once."""
     message_len = 4 * 2 ** (num_scales - 1)
-    n0 = codec.base_length(method, num_scales, message_len)
-    frame = np.zeros(n0 << num_scales)
+    modem = Modem(method, num_scales, message_len)
+    frame = np.zeros(modem.num_samples)
     index = np.arange(1, message_len + 1)
-    for rows, sel in codec.copies(frame, method, num_scales):
+    for rows, sel in codec.copies(frame, method, modem.depth):
         rows[:] = index[sel]
-    counts = np.bincount(frame[n0:].astype(int), minlength=message_len + 1)
-    assert counts[0] == 0  # every detail coefficient carries a copy
+    # Every detail coefficient carries a copy; at depth 0, every sample.
+    carriers = frame[len(frame) >> modem.depth :] if modem.depth else frame
+    counts = np.bincount(carriers.astype(int), minlength=message_len + 1)
+    assert counts[0] == 0
     placed = {int(c): Fraction(n, message_len) for c, n in Counter(counts[1:]).items()}
     census = copy_census(method, num_scales)
     assert placed == {c: Fraction(share) for c, share in census.items()}

@@ -358,6 +358,9 @@ def test_svg_axes_of_degenerate_curves():
          "SNR point -3100.0 dB"),
         (["--method", "wm2,pam", "--scales", "2", "--message-len", "8", "--snr-grid=-300",
           "--energy=1e300"], "SNR point -300.0 dB"),
+        # PAM runs the depth-0 chain with the taps' filter pair, so it checks
+        # them too; a pam-only sweep used to ignore the value.
+        (["--method", "pam", "--taps", "5"], "tap count"),
     ],
 )
 def test_ber_sweep_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
@@ -406,6 +409,22 @@ def test_modulate_bad_config_leaves_no_output(tmp_path, capsys, extra, message):
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_demodulate_error_names_the_sample_count(tmp_path, capsys):
+    """A frame's length is a sample count, and the error says so: deep
+    frames used to be reported as "wm2 with 30 scales and 4 bits"."""
+    src = tmp_path / "samples.txt"
+    src.write_text("0.5\n" * 4)
+    out = tmp_path / "bits.txt"
+    for scales, message in (("30", "wm2 with 30 scales needs frames of at least 2^30 samples"),
+                            ("3", "sample count 4 not divisible by 2^3")):
+        rc = main(["demodulate", str(src), "--out", str(out), "--method", "wm2",
+                   "--scales", scales])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "4 bits" not in err
+        assert not out.exists()
 
 
 def test_demodulate_takes_no_energy(tmp_path, capsys):

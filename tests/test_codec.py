@@ -10,6 +10,7 @@ from wavemod.codec import (
     place_method1,
     place_method2,
     symbols,
+    symbols_per_coarse_sample,
 )
 from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filterbank import level_slice
@@ -99,10 +100,12 @@ def test_method1_frame_matches_per_level_decimation(num_scales):
 
 
 def test_method1_divisibility():
+    # codec states the geometry; the Modem built on it checks the contract.
+    assert symbols_per_coarse_sample(METHOD1, 3) == 4
+    assert symbols_per_coarse_sample(METHOD2, 3) == 1
+    assert len(place_method1(symbols(np.zeros(8, dtype=int), 1.0), 3)) == 16
     with pytest.raises(ConfigurationError, match="divisible by 4"):
-        place_method1(symbols(np.zeros(6, dtype=int), 1.0), 3)
-    with pytest.raises(ConfigurationError, match="num_scales"):
-        place_method1(symbols(np.zeros(6, dtype=int), 1.0), 0)
+        Modem("wm1", 3, 6)
 
 
 def test_method2_two_scales():
@@ -119,8 +122,9 @@ def test_method2_degenerate_single_symbol():
     assert [len(d) for d in details] == [1, 2, 4]
     assert sum(len(d) for d in details) == 2**3 - 1
     assert all(np.all(d == 1.0) for d in details)
-    with pytest.raises(ConfigurationError, match="message_len"):
-        place_method2(symbols(np.array([], dtype=int), 1.0), 3)
+    # The frame follows the message: an empty one (the Modem refuses it)
+    # gives an empty frame.
+    assert len(place_method2(symbols(np.array([], dtype=int), 1.0), 3)) == 0
 
 
 @pytest.mark.parametrize("length,num_scales", [(1, 1), (3, 2), (5, 4), (7, 6)])

@@ -13,7 +13,7 @@ from wavemod.codec import (
     symbols,
 )
 from wavemod.detector import detect_block
-from wavemod.errors import ConfigurationError
+from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filterbank import analyze_pyramid, level_slice, synthesize_pyramid
 from wavemod.filters import make_daubechies
 
@@ -84,7 +84,7 @@ def test_noiseless_round_trip(method, place, msg_len, num_scales):
     frame = place(symbols(bits, 1.0), num_scales)
     block = synthesize_pyramid(frame, num_scales, fp)
     back = analyze_pyramid(block, num_scales, fp)
-    detected = detect_block(back, method, num_scales, msg_len)
+    detected = detect_block(back, method, num_scales)
     assert np.array_equal(detected, bits)
 
 
@@ -93,7 +93,7 @@ def assert_detect_block_matches_oracle(received, method, num_scales, msg_len):
     number of symbols whose copies sum to exactly zero."""
     obs = gather_observations(received, method, num_scales, msg_len)
     slow = [ml_decide(o, 1.0, 1.0).bit for o in obs]
-    assert np.array_equal(detect_block(received, method, num_scales, msg_len), slow)
+    assert np.array_equal(detect_block(received, method, num_scales), slow)
     return sum(np.sum(o.copies) == 0 for o in obs)
 
 
@@ -119,10 +119,6 @@ def test_detect_block_matches_gather_plus_ml_decide():
                         received, method, num_scales, msg_len
                     )
     assert ties > 0
-    with pytest.raises(ConfigurationError, match="unknown placement method"):
-        detect_block(np.zeros(16), "pam", 3, 2)
-    with pytest.raises(ConfigurationError, match="divisible by 4"):
-        detect_block(np.zeros(16), METHOD1, 3, 6)
 
 
 def test_detect_block_level_reductions_match_the_oracle():
@@ -153,7 +149,7 @@ def test_single_scale_reduces_to_sign_detector():
     frame = place_method1(symbols(bits, 1.0), 1)
     noisy_details = frame[level_slice(16, 0)] + rng.normal(0, 2.0, 16)
     frame2 = np.concatenate([frame[:16], noisy_details])
-    detected = detect_block(frame2, METHOD1, 1, 16)
+    detected = detect_block(frame2, METHOD1, 1)
     assert np.array_equal(detected, (noisy_details > 0).astype(int))
 
 
@@ -163,15 +159,21 @@ def test_one_corrupted_copy_out_of_seven_survives():
     bits = np.array([1])
     frame = place_method2(symbols(bits, 1.0), 3)
     frame[level_slice(1, 2)][3] = -5.9  # clean copies are +1 each
-    detected = detect_block(frame, METHOD2, 3, 1)
+    detected = detect_block(frame, METHOD2, 3)
     assert detected[0] == 1
 
 
-@pytest.mark.parametrize("length", [0, 8, 15, 17, 32])
+@pytest.mark.parametrize("length, decisions", [(0, 0), (8, 1), (32, 4)])
+def test_detect_block_sizes_its_sums_from_the_frame(length, decisions):
+    # At M=3 a Method 2 frame of 8 * n0 coefficients carries n0 symbols.
+    assert len(detect_block(np.ones(length), METHOD2, 3)) == decisions
+
+
+@pytest.mark.parametrize("length", [15, 17])
 def test_detect_block_rejects_wrong_frame_length(length):
-    # Method 2, M=3, n0=2 frames have 16 coefficients.
-    with pytest.raises(ConfigurationError, match="does not match"):
-        detect_block(np.zeros(length), METHOD2, 3, 2)
+    # Not a multiple of 2**3: no coarse length fits.
+    with pytest.raises(ShapeError, match="not divisible by 2\\^3"):
+        detect_block(np.zeros(length), METHOD2, 3)
 
 
 def test_decision_fields():

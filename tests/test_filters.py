@@ -153,11 +153,6 @@ def test_unsupported_taps_rejected(taps):
         make_daubechies(taps)
 
 
-def test_determinism():
-    a, b = make_daubechies(8), make_daubechies(8)
-    assert np.array_equal(a.h, b.h) and np.array_equal(a.g, b.g)
-
-
 def test_validate_flags_wrong_sum():
     fp = FilterPair(h=np.array([1.0, 0.0]), g=np.array([0.0, 1.0]))
     problems = validate_filter_pair(fp)

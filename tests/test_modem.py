@@ -54,6 +54,7 @@ def test_frame_lengths():
     assert Modem("wm1", 6, 512).num_samples == 1024
     assert Modem("wm2", 6, 512).num_samples == 512 * 2**6
     assert Modem("pam", 6, 512).num_samples == 512
+    assert [Modem(m, 6, 512).depth for m in METHODS] == [6, 6, 0]  # PAM ignores scales
 
 
 def test_pam_is_antipodal_with_sign_decision():
@@ -91,6 +92,14 @@ def test_frame_cap_boundary():
         (("wm1", 40, 512), {}, "cap"),
         (("wm1", 10**12, 512), {}, "cap"),
         (("wm2", 20, 512), {}, "cap"),
+        # Non-integral settings used to end in a bare TypeError.
+        (("wm2", 6.0, 512), {}, "num_scales must be an integer"),
+        (("wm1", True, 64), {}, "num_scales must be an integer"),
+        (("wm2", 6, 512.0), {}, "message_len must be an integer"),
+        (("pam", 6, 512.5), {}, "message_len must be an integer"),
+        (("wm2", 6, 512), {"taps": 4.0}, "taps must be an integer"),
+        # PAM runs the depth-0 chain with a real filter pair.
+        (("pam", 4, 64), {"taps": 5}, "tap count"),
     ],
 )
 def test_contract_violations(args, kwargs, message):
