@@ -1,10 +1,13 @@
 """Persistent forked helper processes that run shares of a job.
 
-run(fn, arg, shares) gives fn(arg, item) for every item of every share:
-this process runs shares[0] and forked helpers, kept for later calls with
-the same fn, run the others. A helper gets fn from the fork, never through
-its pipe, so fn may be any callable; arg, the items and the results must
-pickle. Nothing here knows what the job is.
+run(fn, arg, shares) gives fn(arg, item) for every item of every share,
+in share order: this process runs shares[0] and forked helpers, kept for
+later calls with the same fn, run the others. A helper is sent arg and
+its own share only; arg goes to every helper whole, so the data a share
+works on belongs in its items, not in arg. A helper gets fn from the
+fork, never through its pipe, so fn may be any callable; arg, the items
+and the results must pickle, but need not hash. Nothing here knows what
+the job is.
 """
 
 import atexit
@@ -23,8 +26,9 @@ def usable_cpus() -> int:
         return 1
 
 
-def run(fn, arg, shares) -> dict:
-    """{item: fn(arg, item)} over every item of every share.
+def run(fn, arg, shares) -> list:
+    """[fn(arg, item) for share in shares for item in share], the results
+    in share order.
 
     With one share, without os.fork, or with another thread alive (forking
     a threaded process can deadlock the child), every share runs here.
@@ -34,9 +38,9 @@ def run(fn, arg, shares) -> dict:
     reply.
     """
     if len(shares) == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return {item: fn(arg, item) for share in shares for item in share}
+        return [fn(arg, item) for share in shares for item in share]
     helpers = _ready_helpers(fn, len(shares) - 1)
-    done = {}
+    done = []
     try:
         sent = {k: h for k, h in enumerate(helpers, 1) if h.send((arg, shares[k]))}
         for k, share in enumerate(shares):
@@ -45,7 +49,7 @@ def run(fn, arg, shares) -> dict:
                 reply = [fn(arg, item) for item in share]
             elif isinstance(reply, BaseException):
                 raise reply
-            done.update(zip(share, reply))
+            done.extend(reply)
     except BaseException:
         stop()
         raise

@@ -101,7 +101,9 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[BerPoint]:
     result is the same for any CPU count.
     """
     workers = min(len(cfg.snr_grid_db), _helpers.usable_cpus())
-    points = _helpers.run(_run_point, cfg, _shares(cfg, workers))
+    shares = _shares(cfg, workers)
+    done = _helpers.run(_run_point, cfg, shares)
+    points = dict(zip((pt for share in shares for pt in share), done))
     return [points[pt] for pt in range(len(cfg.snr_grid_db))]
 
 

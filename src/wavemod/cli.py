@@ -104,11 +104,12 @@ def read_config_file(path: Path) -> dict:
 
 
 # Fewest lines in a share of the file modem's text. Forking a helper and
-# stopping it at exit costs ~2 ms, a warm helper's round trip ~13 us, and a
-# line ~0.8 us to format and ~0.5 us to parse. A share of 4096 lines thus
-# saves 2 to 3 ms, which repays the fork even in a process that reads or
-# writes one file; the 512-line bit files and 1024-sample wm1 files stay
-# serial.
+# stopping it at exit costs ~1.9 ms, a warm helper's round trip ~12 us, and
+# a line ~0.45 us to format and ~0.35 us to parse, against ~0.03 us to ship
+# it to a helper and back. A share of 4096 lines thus saves 1.3 to 1.8 ms,
+# about the fork's cost: a process that reads or writes one file of two
+# such shares breaks even, and a larger file or a second one gains. The
+# 512-line bit files and 1024-sample wm1 files stay serial.
 MIN_SHARE_LINES = 4096
 
 
@@ -118,25 +119,23 @@ def _share_count(lines: int) -> int:
     return max(1, min(_helpers.usable_cpus(), lines // MIN_SHARE_LINES))
 
 
-def _text_share(job, span):
-    """One share of the file modem's text, for _helpers.run: with job =
-    (values, line_format), values[lo:hi] formatted in one %-operation; with
-    job = (text, parse), the non-blank lines of text[lo:hi], each stripped
-    and passed to parse, as a float64 array."""
-    data, how = job
-    lo, hi = span
-    if isinstance(data, str):
-        lines = filter(None, map(str.strip, data[lo:hi].splitlines()))
+def _text_share(how, piece):
+    """One share of the file modem's text, for _helpers.run: a str piece's
+    non-blank lines, each stripped and passed to the parser how, as a
+    float64 array; an array piece formatted with the line format how in
+    one %-operation."""
+    if isinstance(piece, str):
+        lines = filter(None, map(str.strip, piece.splitlines()))
         return np.array(list(map(how, lines)), dtype=float)
-    return (how * (hi - lo)) % tuple(data[lo:hi].tolist())
+    return (how * len(piece)) % tuple(piece.tolist())
 
 
-def _in_shares(job, edges: list) -> list:
-    """_text_share(job, span) for each span between consecutive edges, in
-    order. Each span is a share, so _helpers.run runs them over the CPUs."""
-    spans = list(zip(edges, edges[1:]))
-    done = _helpers.run(_text_share, job, [[span] for span in spans])
-    return [done[span] for span in spans]
+def _in_shares(how, data, edges: list) -> list:
+    """_text_share(how, data[lo:hi]) for each span between consecutive
+    edges, in order. Each piece is a share of its own, so _helpers.run runs
+    them over the CPUs and sends each helper only its piece."""
+    pieces = [[data[lo:hi]] for lo, hi in zip(edges, edges[1:])]
+    return _helpers.run(_text_share, how, pieces)
 
 
 def _parse_lines(text: str, parse) -> np.ndarray:
@@ -157,7 +156,7 @@ def _parse_lines(text: str, parse) -> np.ndarray:
         if edges[-1] < cut < len(text):  # no empty or backward span
             edges.append(cut)
     edges.append(len(text))
-    return np.concatenate(_in_shares((text, parse), edges))
+    return np.concatenate(_in_shares(parse, text, edges))
 
 
 def _read_lines(path: Path, kind: str, parse) -> np.ndarray:
@@ -190,11 +189,11 @@ def _write_lines(path: Path, line_format: str, values: np.ndarray):
     """One value per line, written through _replace_on_success, so a failed
     write leaves no partial file. The text is formatted before the output
     is opened, in shares over the CPUs when each gets MIN_SHARE_LINES
-    values: each share is one %-operation over a span of the values, and
-    the spans joined in order give the bytes of one %-operation over all."""
+    values: each share is one %-operation over a slice of the values, and
+    the slices joined in order give the bytes of one %-operation over all."""
     shares = _share_count(len(values))
     edges = [len(values) * k // shares for k in range(shares + 1)]
-    pieces = _in_shares((values, line_format), edges)
+    pieces = _in_shares(line_format, values, edges)
     with _replace_on_success(path) as handle:
         handle.writelines(pieces)
 
@@ -346,7 +345,19 @@ def cmd_ber_sweep(args) -> int:
     return EXIT_OK
 
 
+# This process's parser, built by the first build_parser call.
+_parser = None
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every
+    later one. Reuse is safe because argparse keeps nothing from one
+    parse_args call to the next: each fills a new namespace from the
+    defaults, checks the required arguments afresh and writes its errors
+    to the sys.stderr of that moment."""
+    global _parser
+    if _parser is not None:
+        return _parser
     parser = argparse.ArgumentParser(
         prog="wavemod",
         description="Wavelet-modulation modem simulator and BER lab.",
@@ -355,19 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filters", help="print validated wavelet filter taps")
     p.add_argument("--taps", type=int, default=4)
-    p.set_defaults(func=cmd_filters)
 
-    for name, func in (("modulate", cmd_modulate), ("demodulate", cmd_demodulate)):
+    for name in ("modulate", "demodulate"):
         p = sub.add_parser(name, help=f"{name} a text file through the modem")
         p.add_argument("input", help="newline-delimited input file")
         p.add_argument("--out", required=True)
         p.add_argument("--method", choices=[METHOD1, METHOD2], default=METHOD1)
         p.add_argument("--scales", type=int, default=6)
         p.add_argument("--taps", type=int, default=4)
-        if func is cmd_modulate:
+        if name == "modulate":
             # Detection decides on signs only, so demodulate takes no energy.
             p.add_argument("--energy", type=float, default=1.0)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("ber-sweep", help="run Monte Carlo BER sweeps to CSV/SVG")
     p.add_argument("--config", help="key=value config file")
@@ -382,16 +391,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energy", type=float)
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--plot", action="store_true", help="also emit an SVG next to the CSV")
-    p.set_defaults(func=cmd_ber_sweep)
 
+    _parser = parser
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The handler is looked up here on every call, never bound into the
+    # parser with set_defaults(func=...): the parser outlives the call, so
+    # it would keep the functions of its first call and miss any later
+    # replacement of a cmd_* name in this module, a tracer's wrapper or a
+    # test's patch.
+    handler = {
+        "filters": cmd_filters,
+        "modulate": cmd_modulate,
+        "demodulate": cmd_demodulate,
+        "ber-sweep": cmd_ber_sweep,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except (ConfigurationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

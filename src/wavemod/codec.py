@@ -27,6 +27,7 @@ from wavemod.filterbank import _base_length, level_slice
 
 METHOD1 = "wm1"
 METHOD2 = "wm2"
+PAM = "pam"  # the baseline: Method 2's placement at depth 0
 
 
 def symbols(bits, energy: float) -> np.ndarray:

@@ -20,10 +20,8 @@ import numpy as np
 # the benchmark's tracer wraps functions by replacing module attributes,
 # and only in modules it lists, which do not include this one.
 from wavemod import codec, detector, filterbank, filters
-from wavemod.codec import METHOD1, METHOD2
+from wavemod.codec import METHOD1, METHOD2, PAM
 from wavemod.errors import ConfigurationError, ShapeError
-
-PAM = "pam"
 
 METHODS = (METHOD1, METHOD2, PAM)
 

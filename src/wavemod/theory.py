@@ -12,9 +12,8 @@ from math import erfc, fsum, sqrt
 
 import numpy as np
 
-from wavemod.codec import METHOD1, METHOD2
+from wavemod.codec import METHOD1, METHOD2, PAM
 from wavemod.errors import ConfigurationError
-from wavemod.modem import PAM
 
 
 def q_function(x):

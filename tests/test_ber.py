@@ -631,7 +631,7 @@ def test_unpicklable_reply_ends_the_helper_and_its_share_runs_here(fresh_helpers
             return lambda: item  # a local function cannot be pickled
         return arg + item
 
-    assert _helpers.run(unpicklable_in_helper, 10, [[0], [1, 2]]) == {0: 10, 1: 11, 2: 12}
+    assert _helpers.run(unpicklable_in_helper, 10, [[0], [1, 2]]) == [10, 11, 12]
     assert _helpers.pool == []
 
 
@@ -648,7 +648,7 @@ def test_exception_here_discards_the_helpers_pending_replies(fresh_helpers):
     assert _helpers.pool == []
     interrupt[0] = False
     # Same fn: a helper still holding ("first", 1) would answer with it.
-    assert _helpers.run(tag, "second", [[0], [1]]) == {0: ("second", 0), 1: ("second", 1)}
+    assert _helpers.run(tag, "second", [[0], [1]]) == [("second", 0), ("second", 1)]
 
 
 def test_helpers_of_another_fn_are_replaced(fresh_helpers):
@@ -658,16 +658,26 @@ def test_helpers_of_another_fn_are_replaced(fresh_helpers):
     def negate(arg, item):
         return -item
 
-    assert _helpers.run(double, None, [[1], [2], [3]]) == {1: 2, 2: 4, 3: 6}
+    assert _helpers.run(double, None, [[1], [2], [3]]) == [2, 4, 6]
     first = [helper.pid for helper in _helpers.pool]
-    assert _helpers.run(double, None, [[1], [2], [3]]) == {1: 2, 2: 4, 3: 6}
+    assert _helpers.run(double, None, [[1], [2], [3]]) == [2, 4, 6]
     assert [helper.pid for helper in _helpers.pool] == first
-    assert _helpers.run(negate, None, [[1], [2], [3]]) == {1: -1, 2: -2, 3: -3}
+    assert _helpers.run(negate, None, [[1], [2], [3]]) == [-1, -2, -3]
     assert len(_helpers.pool) == 2
     assert not {helper.pid for helper in _helpers.pool} & set(first)
     for pid in first:
         with pytest.raises(ChildProcessError):  # killed and reaped
             os.waitpid(pid, os.WNOHANG)
+
+
+def test_results_come_in_share_order_for_unhashable_items(fresh_helpers):
+    def scale(arg, item):
+        return arg * item
+
+    items = [np.arange(k, k + 3.0) for k in range(4)]
+    got = _helpers.run(scale, 2.0, [items[:1], items[1:3], items[3:]])
+    assert len(_helpers.pool) == 2
+    assert [a.tolist() for a in got] == [(2.0 * a).tolist() for a in items]
 
 
 def test_helpers_end_when_their_owner_dies_without_stopping_them(tmp_path):
@@ -679,7 +689,7 @@ import os
 import wavemod._helpers as h
 def same(arg, item):
     return item
-assert h.run(same, None, [[0], [1], [2]]) == {{0: 0, 1: 1, 2: 2}}
+assert h.run(same, None, [[0], [1], [2]]) == [0, 1, 2]
 open({str(pids)!r}, "w").write(" ".join(str(helper.pid) for helper in h.pool))
 os._exit(0)
 """

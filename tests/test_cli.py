@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import csv
 import io
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -435,6 +437,54 @@ def test_demodulate_takes_no_energy(tmp_path, capsys):
     assert "--energy" in capsys.readouterr().err
 
 
+def test_cached_parser_keeps_calls_apart(monkeypatch):
+    """main builds one parser per process, and each call through it sees
+    its own options and the defaults, never a value of an earlier call."""
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    seen = []
+    for name in ("cmd_filters", "cmd_modulate", "cmd_ber_sweep"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+
+    def parsed(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    def rejected(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return err.getvalue()
+
+    modulate = {"command": "modulate", "input": "in.txt", "out": "s.txt", "method": "wm1",
+                "scales": 6, "taps": 4}
+    sweep = {"command": "ber-sweep", "config": None, "methods": None, "scales": None,
+             "message_len": None, "snr_grid": None, "min_errors": None, "max_trials": None,
+             "seed": None, "taps": None, "energy": None, "out": None, "plot": False}
+    assert parsed(["modulate", "in.txt", "--out", "s.txt", "--energy", "4"]) == {
+        **modulate, "energy": 4.0}
+    tree = len(built)
+    assert tree > 0
+    assert parsed(["ber-sweep", "--seed", "3", "--plot"]) == {**sweep, "seed": 3, "plot": True}
+    first = rejected(["modulate", "in.txt"])
+    assert "the following arguments are required: --out" in first
+    assert parsed(["modulate", "in.txt", "--out", "s.txt"]) == {**modulate, "energy": 1.0}
+    assert parsed(["filters", "--taps", "6"]) == {"command": "filters", "taps": 6}
+    assert parsed(["ber-sweep"]) == sweep
+    assert rejected(["modulate", "in.txt"]) == first  # to the stderr of this call
+    assert parsed(["filters"]) == {"command": "filters", "taps": 4}
+    assert len(built) == tree
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("method", ["wm1", "wm2"])
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
 def test_modulate_output_matches_per_value_formatter(tmp_path, method, taps):
@@ -697,6 +747,31 @@ def test_split_format_matches_single_operation(tmp_path, monkeypatch, split_text
         cli._write_lines(path, line_format, values)
         assert_same_text(path.read_text(), (line_format * n) % tuple(values.tolist()))
         assert len(_helpers.pool) == shares - 1
+
+
+def test_each_helper_is_sent_only_its_share(tmp_path, monkeypatch, split_text):
+    """A 2-share parse and a 2-share format of a 32768-sample frame send
+    the helper its piece alone, not the whole text or value array."""
+    requests = []
+    send = _helpers._Helper.send
+
+    def recording_send(helper, request):
+        requests.append(len(pickle.dumps(request)))
+        return send(helper, request)
+
+    monkeypatch.setattr(_helpers._Helper, "send", recording_send)
+    frame = Modem("wm2", 6, 512).modulate(np.random.default_rng(9).integers(0, 2, 512))
+    text = naive_cli_io.format_samples(frame)
+    assert len(frame) == 2 * 4 * cli.MIN_SHARE_LINES
+    path = tmp_path / "s.txt"
+    cli._write_lines(path, "%.17g\n", frame)
+    assert_same_text(path.read_text(), text)
+    [request] = requests
+    assert request < 0.6 * len(pickle.dumps((frame, "%.17g\n")))
+    requests.clear()
+    assert cli._parse_lines(text, float).tobytes() == frame.tobytes()
+    [request] = requests
+    assert request < 0.6 * len(pickle.dumps((text, float)))
 
 
 @pytest.mark.parametrize("where", ["first line", "owner's share", "helper's share", "last line"])
