@@ -7,7 +7,7 @@ rates against closed-form predictions.
 """
 
 from wavemod.errors import ConfigurationError, ShapeError
-from wavemod.filters import FilterPair, make_daubechies, validate_filter_pair
+from wavemod.filters import make_daubechies, validate_filter_pair
 from wavemod.filterbank import (
     BACKEND,
     analysis_step,
@@ -40,7 +40,6 @@ __all__ = [
     "BerPoint",
     "ConfigurationError",
     "ExperimentConfig",
-    "FilterPair",
     "METHOD1",
     "METHOD2",
     "Modem",

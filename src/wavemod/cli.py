@@ -211,7 +211,7 @@ def cmd_filters(args) -> int:
         for p in problems:
             print(f"invalid filter pair: {p}", file=sys.stderr)
         return EXIT_CONFIG
-    for name, taps in (("h", fp.h), ("g", fp.g)):
+    for name, taps in zip("hg", fp):
         for i, v in enumerate(taps):
             print(f"{name}[{i}] = {v:.17g}")
     return EXIT_OK

@@ -4,12 +4,15 @@ Circular (periodic) convolution keeps every length an exact power-of-two
 multiple and makes the round trip exact for orthonormal filters. Scale
 indices are relative: the coarsest detail level is 0, the finest is M-1.
 
-The single-level kernels are polyphase. Analysis splits its input once
-into the even and odd samples, each extended cyclically, and tap i reads
-a contiguous slice of phase i mod 2; synthesis reads each tap from a
-contiguous slice of its cyclically padded inputs. Each tap is therefore a
-few whole-array numpy operations on contiguous data. Every output sums
-its taps in ascending tap order into a zero-initialised accumulator, or
+The single-level kernels are polyphase, and they keep the h and g
+branches as the two rows of each buffer, so that column i of the (2, taps)
+filter pair applies tap i of both filters in one numpy call. Analysis
+splits its input once into the even and odd samples, each extended
+cyclically, and tap i reads a contiguous slice of phase i mod 2: one
+multiply and one add. Synthesis reads tap i from a contiguous slice of
+its cyclically padded coarse and detail rows: one multiply, then one add
+sums the rows and one adds that to the output. Every output sums its
+taps in ascending tap order into a zero-initialised accumulator, or
 (analysis) starts from tap 0's product and adds +0.0 last, which gives
 the same bits. That order fixes the floating-point result bit for bit,
 sign of zero included.
@@ -29,7 +32,6 @@ from itertools import accumulate
 import numpy as np
 
 from wavemod.errors import ShapeError
-from wavemod.filters import FilterPair
 
 # Name of the kernel implementation; benchmark records carry it so that
 # timings from different kernels are never compared.
@@ -51,55 +53,55 @@ def _as_float_array(seq) -> np.ndarray:
 
 
 def _cyclic(v: np.ndarray, start: int, count: int) -> np.ndarray:
-    """count samples of v from index start on, indices taken mod len(v).
+    """count samples of each row of v from index start on, indices taken
+    mod the row length, which may be shorter than count.
 
-    v may be shorter than count. An empty v gets zeros, which no kernel
-    reads: every slice of an empty input is empty. When no index wraps, the
-    result is a view of v, not a gathered copy.
+    Empty rows get zeros, which no kernel reads: every slice of an empty
+    input is empty. When no index wraps, start reduced mod the row length
+    included, the result is a view of v, not a gathered copy.
     """
-    if len(v) == 0:
-        return np.zeros(count)
-    if 0 <= start and start + count <= len(v):
-        return v[start : start + count]
-    return v[np.arange(start, start + count) % len(v)]
+    n = v.shape[-1]
+    if n == 0:
+        return np.zeros(v.shape[:-1] + (count,))
+    start %= n
+    if start + count <= n:
+        return v[..., start : start + count]
+    return v[..., np.arange(start, start + count) % n]
 
 
 def _split(work, lengths):
-    """Consecutive views of work with the given lengths; a fresh work area
-    when work is None."""
-    ends = list(accumulate(lengths))
+    """Consecutive (2, n) views of work, one per row length n; a fresh work
+    area when work is None."""
+    ends = list(accumulate(2 * n for n in lengths))
     if work is None:
         work = np.empty(ends[-1])
     elif len(work) < ends[-1]:
         raise ShapeError(f"work area of {len(work)} samples, kernel needs {ends[-1]}")
-    return [work[end - n : end] for n, end in zip(lengths, ends)]
+    return [work[end - 2 * n : end].reshape(2, n) for n, end in zip(lengths, ends)]
 
 
 def _analysis_lengths(n_in: int, taps: int):
-    # Even and odd phases of the input, each extended cyclically by
-    # taps/2 - 1 samples, and one partial-product row.
-    half = n_in // 2
-    pad = taps // 2 - 1
-    return (half + pad, half + pad, half)
+    # Rows: the even and odd phases of the input, each extended cyclically
+    # by taps/2 - 1 samples; the partial products of both branches.
+    return (n_in // 2 + taps // 2 - 1, n_in // 2)
 
 
 def _synthesis_lengths(n_low: int, taps: int):
-    # Padded coarse and detail inputs, two partial-product rows.
-    pad = taps // 2 - 1
-    return (pad + n_low, pad + n_low, n_low, n_low)
+    # Rows: the padded coarse and detail inputs; their partial products.
+    return (taps // 2 - 1 + n_low, n_low)
 
 
-def analysis_work(num_samples: int, fp: FilterPair) -> np.ndarray:
+def analysis_work(num_samples: int, fp: np.ndarray) -> np.ndarray:
     """A work area for analyzing blocks of up to num_samples samples."""
-    return np.empty(sum(_analysis_lengths(num_samples, len(fp.h))))
+    return np.empty(2 * sum(_analysis_lengths(num_samples, fp.shape[1])))
 
 
-def synthesis_work(num_samples: int, fp: FilterPair) -> np.ndarray:
+def synthesis_work(num_samples: int, fp: np.ndarray) -> np.ndarray:
     """A work area for synthesizing blocks of up to num_samples samples."""
-    return np.empty(sum(_synthesis_lengths(num_samples // 2, len(fp.h))))
+    return np.empty(2 * sum(_synthesis_lengths(num_samples // 2, fp.shape[1])))
 
 
-def analysis_step(c_next, fp: FilterPair, work=None, out=None):
+def analysis_step(c_next, fp: np.ndarray, work=None, out=None):
     """One pyramid level down: circular filter by h and g, decimate by 2.
 
     c(n) = sum_m h(m - 2n) c_next(m mod N), likewise x with g.
@@ -111,38 +113,32 @@ def analysis_step(c_next, fp: FilterPair, work=None, out=None):
     if n_in % 2 != 0:
         raise ShapeError(f"analysis input length {n_in} is odd")
     half = n_in // 2
-    taps = len(fp.h)
-    even, odd, term = _split(work, _analysis_lengths(n_in, taps))
+    taps = fp.shape[1]
+    phases, term = _split(work, _analysis_lengths(n_in, taps))
     # Output n reads c_next[2n + i] for taps i = 0..taps-1. Tap i = 2k + p
     # is sample n + k of phase p (c_next[p::2]), indices mod N/2, so
     # extending each phase cyclically by pad = taps/2 - 1 samples turns it
-    # into the contiguous slice phase_p[k : k + N/2]. The pad may wrap the
-    # phase more than once (8 taps, N = 2).
-    pad = taps // 2 - 1
-    even[:half] = c_next[0::2]
-    odd[:half] = c_next[1::2]
-    even[half:] = _cyclic(even[:half], 0, pad)
-    odd[half:] = _cyclic(odd[:half], 0, pad)
-    phases = (even, odd)
+    # into the contiguous slice phases[p, k : k + N/2]. The pad may wrap
+    # the phase more than once (8 taps, N = 2).
+    phases[:, :half] = c_next.reshape(half, 2).T
+    phases[:, half:] = _cyclic(phases[:, :half], 0, taps // 2 - 1)
     if out is None:
         out = np.empty(n_in)
-    out = out[:n_in]
-    c, x = out[:half], out[half:]
+    # Rows c and x; tap i of h and g as a (2, 1) column.
+    cx = out[:n_in].reshape(2, half)
+    column = fp.T[:, :, None]
     # Starting from tap 0's product rather than from +0.0 changes at most
     # the sign of a zero partial sum, since a zero of either sign leaves a
     # nonzero sum as it is; the final + 0.0 makes every zero +0.0, which is
     # what a sum that starts from +0.0 ends at.
-    np.multiply(fp.h[0], even[:half], out=c)
-    np.multiply(fp.g[0], even[:half], out=x)
+    np.multiply(column[0], phases[0, :half], out=cx)
     for i in range(1, taps):
-        v = phases[i % 2][i // 2 : i // 2 + half]
-        c += np.multiply(fp.h[i], v, out=term)
-        x += np.multiply(fp.g[i], v, out=term)
-    out += 0.0
-    return c, x
+        cx += np.multiply(column[i], phases[i % 2, i // 2 : i // 2 + half], out=term)
+    cx += 0.0
+    return cx[0], cx[1]
 
 
-def synthesis_step(c, x, fp: FilterPair, work=None, out=None):
+def synthesis_step(c, x, fp: np.ndarray, work=None, out=None):
     """One pyramid level up: upsample, filter, sum the two branches.
 
     c_next(m) = sum_n h(m - 2n) c(n) + sum_n g(m - 2n) x(n), indices
@@ -155,27 +151,28 @@ def synthesis_step(c, x, fp: FilterPair, work=None, out=None):
     n_low = len(c)
     if n_low != len(x):
         raise ShapeError(f"coarse/detail length mismatch: {n_low} vs {len(x)}")
-    taps = len(fp.h)
-    c_pad, x_pad, hc, gx = _split(work, _synthesis_lengths(n_low, taps))
+    taps = fp.shape[1]
+    padded, term = _split(work, _synthesis_lengths(n_low, taps))
     # Output 2j + p takes taps i = 2k + p (k = 0..taps/2-1) at input j - k.
     # Prepending the pad = taps/2 - 1 samples that cyclically precede
     # index 0 turns input j - k into the contiguous slice [pad - k, pad - k
-    # + n_low) of the padded copy, one slice per tap and output parity.
+    # + n_low) of the padded rows c and x, one slice per tap and output
+    # parity.
     pad = taps // 2 - 1
-    c_pad[:pad] = _cyclic(c, -pad, pad)
-    c_pad[pad:] = c
-    x_pad[:pad] = _cyclic(x, -pad, pad)
-    x_pad[pad:] = x
+    padded[0, pad:] = c
+    padded[1, pad:] = x
+    padded[:, :pad] = _cyclic(padded[:, pad:], -pad, pad)
     if out is None:
         out = np.empty(2 * n_low)
     out = out[: 2 * n_low]
     out[...] = 0.0
+    column = fp.T[:, :, None]
+    hc, gx = term
     for parity in (0, 1):
         acc = out[parity::2]
         for i in range(parity, taps, 2):
-            s = slice(pad - i // 2, pad - i // 2 + n_low)
-            np.multiply(fp.h[i], c_pad[s], out=hc)
-            hc += np.multiply(fp.g[i], x_pad[s], out=gx)
+            np.multiply(column[i], padded[:, pad - i // 2 : pad - i // 2 + n_low], out=term)
+            hc += gx
             acc += hc
     return out
 
@@ -187,7 +184,7 @@ def _base_length(n: int, num_scales: int) -> int:
     return n >> num_scales
 
 
-def synthesize_pyramid(frame, num_scales: int, fp: FilterPair, work=None) -> np.ndarray:
+def synthesize_pyramid(frame, num_scales: int, fp: np.ndarray, work=None) -> np.ndarray:
     """Run the inverse pyramid: coarse branch up through every detail level.
 
     work is a synthesis_work area for at least len(frame) samples, or None.
@@ -205,7 +202,7 @@ def synthesize_pyramid(frame, num_scales: int, fp: FilterPair, work=None) -> np.
     return out
 
 
-def analyze_pyramid(samples, num_scales: int, fp: FilterPair, work=None, out=None) -> np.ndarray:
+def analyze_pyramid(samples, num_scales: int, fp: np.ndarray, work=None, out=None) -> np.ndarray:
     """Run the forward pyramid, peeling one detail level into the frame per step.
 
     work is an analysis_work area for at least len(samples) samples, or

@@ -9,7 +9,6 @@ polynomial (Comm. Pure Appl. Math. 41, 1988) as a float64 root finder gave
 it. tests/test_filters.py re-derives them at 50 digits and checks the table.
 """
 
-from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
@@ -32,27 +31,21 @@ _SCALING_HEX = {
 SUPPORTED_TAPS = tuple(_SCALING_HEX)
 
 
-@dataclass(frozen=True)
-class FilterPair:
-    """Scaling filter h and quadrature wavelet filter g, equal even length."""
-
-    h: np.ndarray
-    g: np.ndarray
-
-
-def _pair(h_hex: tuple[str, ...]) -> FilterPair:
-    # Rows of one read-only array: no caller can make a shared pair writable.
+def _pair(h_hex: tuple[str, ...]) -> np.ndarray:
+    # Rows h and g of one read-only array. Callers get a view, which, unlike
+    # the array that owns the data, cannot be made writable again.
     h = np.array([float.fromhex(x) for x in h_hex])
     hg = np.stack((h, (-1.0) ** np.arange(len(h)) * h[::-1]))
     hg.setflags(write=False)
-    return FilterPair(*hg)
+    return hg.view()
 
 
 _PAIRS = {taps: _pair(h_hex) for taps, h_hex in _SCALING_HEX.items()}
 
 
-def make_daubechies(taps: int) -> FilterPair:
-    """The Daubechies filter pair with the given even tap count.
+def make_daubechies(taps: int) -> np.ndarray:
+    """The Daubechies filter pair with the given even tap count: a shared,
+    read-only (2, taps) array whose rows are h and g.
 
     taps=2 is Haar; taps=2p gives p vanishing moments, minimum-phase roots.
     """
@@ -63,24 +56,30 @@ def make_daubechies(taps: int) -> FilterPair:
     return _PAIRS[taps]
 
 
-def validate_filter_pair(fp: FilterPair) -> list[str]:
-    """Check every FilterPair invariant numerically at tolerance 1e-12.
+# Finite taps as large as 1e200 overflow the sums to inf, which the unit-norm
+# check reports; the numpy warning would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
+def validate_filter_pair(fp) -> list[str]:
+    """Check a filter pair numerically at tolerance 1e-12.
 
-    Returns one entry per violated invariant with the measured residual;
-    an empty list means the pair is valid.
+    fp is any array-like of rows h and g. Returns one entry per violated
+    invariant with the measured residual; an empty list means the pair is
+    valid. A shape other than (2, taps) with taps even and >= 2, or a NaN
+    or infinite tap, is the one entry: no other check runs.
     """
-    violations = []
-    h = np.asarray(fp.h, dtype=float)
-    g = np.asarray(fp.g, dtype=float)
+    fp = np.asarray(fp, dtype=float)
+    if fp.ndim != 2 or len(fp) != 2:
+        return [f"shape {fp.shape} is not (2, taps)"]
+    h, g = fp
     taps = len(h)
-
-    if len(g) != taps:
-        violations.append(f"len(h)={taps} != len(g)={len(g)}")
-        return violations
     if taps < 2 or taps % 2 != 0:
-        violations.append(f"tap count {taps} is not an even integer >= 2")
-        return violations
+        return [f"tap count {taps} is not an even integer >= 2"]
+    # Every check below is `residual > _TOL`, which a NaN residual passes.
+    bad = np.count_nonzero(~np.isfinite(fp))
+    if bad:
+        return [f"{bad} of {fp.size} taps are not finite"]
 
+    violations = []
     r = abs(np.sum(h**2) - 1.0)
     if r > _TOL:
         violations.append(f"unit norm: |sum(h^2) - 1| = {r:.3e}")

@@ -72,7 +72,7 @@ class Modem:
     message_len: int
     taps: int = 4
     symbol_energy: float = 1.0
-    filter_pair: filters.FilterPair = field(init=False, repr=False, compare=False)
+    filter_pair: np.ndarray = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)  # of the pyramids
     num_samples: int = field(init=False, repr=False, compare=False)  # per frame
 

@@ -50,7 +50,7 @@ def test_criterion_2_filter_validity():
     ok = all(validate_filter_pair(make_daubechies(t)) == [] for t in (2, 4, 6, 8))
     s3 = math.sqrt(3.0)
     oracle = np.array([1 + s3, 3 + s3, 3 - s3, 1 - s3]) / (4 * math.sqrt(2.0))
-    dev = float(np.max(np.abs(make_daubechies(4).h - oracle)))
+    dev = float(np.max(np.abs(make_daubechies(4)[0] - oracle)))
     report(
         "criterion 2 (filter validity)",
         ok and dev < 1e-10,

@@ -55,6 +55,15 @@ def test_moments_at_scale():
     assert abs(np.var(out) - 1.0) < 0.01
 
 
+def test_overlapping_out_rejected():
+    """The normals go into out first, so out=samples would give 2*sigma*z."""
+    block = np.ones(8)
+    for samples, out in ((block, block), (block[:4], block[2:6])):
+        with pytest.raises(ConfigurationError, match="overlaps"):
+            add_awgn(samples, 1.0, stream(0), out=out)
+    assert np.array_equal(block, np.ones(8))
+
+
 def test_negative_sigma_rejected():
     with pytest.raises(ConfigurationError, match="sigma"):
         add_awgn(np.zeros(4), -1.0, stream(0))

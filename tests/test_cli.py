@@ -23,7 +23,7 @@ from wavemod import _helpers
 from wavemod import cli
 from wavemod.cli import MAX_SNR_POINTS, main, parse_snr_grid, read_config_file, CSV_COLUMNS
 from wavemod.errors import ConfigurationError
-from wavemod.filters import FilterPair, make_daubechies
+from wavemod.filters import make_daubechies
 from wavemod.modem import Modem
 from wavemod.svgplot import render_ber_svg
 
@@ -67,7 +67,7 @@ def test_filters_match_construction(capsys):
     assert main(["filters", "--taps", "4"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     values = [float(line.split("=")[1]) for line in out[:4]]
-    np.testing.assert_allclose(values, make_daubechies(4).h, rtol=1e-15)
+    np.testing.assert_allclose(values, make_daubechies(4)[0], rtol=1e-15)
 
 
 def test_filters_bad_taps(capsys):
@@ -77,7 +77,7 @@ def test_filters_bad_taps(capsys):
 
 def test_filters_invalid_pair(capsys, monkeypatch):
     """A pair that fails validation is printed as problems, not taps."""
-    bad = FilterPair(h=np.array([1.0, 1.0]), g=np.array([1.0, -1.0]))
+    bad = np.array([[1.0, 1.0], [1.0, -1.0]])
     monkeypatch.setattr(cli, "make_daubechies", lambda taps: bad)
     assert main(["filters", "--taps", "2"]) == 2
     captured = capsys.readouterr()

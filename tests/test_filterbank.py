@@ -172,7 +172,7 @@ def test_kernels_match_naive_reference(taps, n):
     v[::7] = 0.0
     v[::11] = -0.0
     c, x = analysis_step(v, fp)
-    c_ref, x_ref = naive_kernels.analysis_step(v, fp.h, fp.g)
+    c_ref, x_ref = naive_kernels.analysis_step(v, *fp)
     assert_bit_identical(c, c_ref)
     assert_bit_identical(x, x_ref)
     zeros = np.zeros(n // 2)
@@ -181,7 +181,7 @@ def test_kernels_match_naive_reference(taps, n):
     for low, high in ((c, x), (zeros, x), (-zeros, zeros), (-zeros, -zeros)):
         assert_bit_identical(
             synthesis_step(low, high, fp),
-            naive_kernels.synthesis_step(low, high, fp.h, fp.g),
+            naive_kernels.synthesis_step(low, high, *fp),
         )
 
 
@@ -194,18 +194,20 @@ def test_analysis_pyramid_matches_naive_reference(taps):
     v[::5] = 0.0
     v[::13] = -0.0
     v[:2048] = -0.0  # a run of zeros keeps zero outputs down to the coarsest level
-    want = naive_kernels.analyze_pyramid(v, 6, fp.h, fp.g)
+    want = naive_kernels.analyze_pyramid(v, 6, *fp)
     assert_bit_identical(analyze_pyramid(v, 6, fp), want)
     assert_bit_identical(analyze_pyramid(v, 6, fp, analysis_work(len(v), fp), out=v), want)
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
 def test_analysis_work_area_length(taps):
-    """An analysis work area stays N + taps - 2 + N/2 samples: the two
-    padded phases and one partial-product row."""
+    """An analysis work area is N + taps - 2 + N samples: the two padded
+    phases and the partial products of both branches. A synthesis work area
+    is 2N + taps - 2: the two padded inputs and their partial products."""
     fp = make_daubechies(taps)
     for n in (2, 6, 1024, 32768):
-        assert len(analysis_work(n, fp)) == n + taps - 2 + n // 2
+        assert len(analysis_work(n, fp)) == n + taps - 2 + n
+        assert len(synthesis_work(n, fp)) == 2 * n + taps - 2
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
@@ -214,11 +216,11 @@ def test_empty_input_matches_naive_reference(taps):
     fp = make_daubechies(taps)
     empty = np.zeros(0)
     c, x = analysis_step(empty, fp)
-    c_ref, x_ref = naive_kernels.analysis_step(empty, fp.h, fp.g)
+    c_ref, x_ref = naive_kernels.analysis_step(empty, *fp)
     assert_bit_identical(c, c_ref)
     assert_bit_identical(x, x_ref)
     assert_bit_identical(
-        synthesis_step(empty, empty, fp), naive_kernels.synthesis_step(empty, empty, fp.h, fp.g)
+        synthesis_step(empty, empty, fp), naive_kernels.synthesis_step(empty, empty, *fp)
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import wavemod
 from wavemod.errors import ConfigurationError
-from wavemod.filters import SUPPORTED_TAPS, FilterPair, make_daubechies, validate_filter_pair
+from wavemod.filters import SUPPORTED_TAPS, make_daubechies, validate_filter_pair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -72,13 +72,13 @@ def factorized_scaling(taps):
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
 def test_table_matches_factorization(taps):
     expected = factorized_scaling(taps)
-    np.testing.assert_allclose(make_daubechies(taps).h, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(make_daubechies(taps)[0], expected, rtol=0, atol=1e-13)
 
 
 def test_haar_is_the_float_quotient():
     # 1/sqrt(2.0) rounds twice, so it is 1 ulp below the factorization's
     # correctly rounded 1/sqrt(2); the pinned bytes rest on the quotient.
-    assert make_daubechies(2).h.tolist() == [1.0 / math.sqrt(2.0)] * 2
+    assert make_daubechies(2)[0].tolist() == [1.0 / math.sqrt(2.0)] * 2
 
 
 def test_runtime_path_needs_no_root_finder():
@@ -108,7 +108,7 @@ def test_runtime_path_needs_no_root_finder():
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
 def test_shared_pairs_are_read_only(taps):
     fp = make_daubechies(taps)
-    for coefficients in (fp.h, fp.g):
+    for coefficients in (fp, *fp):
         with pytest.raises(ValueError):
             coefficients[0] = 0.0
         with pytest.raises(ValueError):
@@ -117,8 +117,8 @@ def test_shared_pairs_are_read_only(taps):
 
 def test_haar_is_exact():
     fp = make_daubechies(2)
-    np.testing.assert_allclose(fp.h, [1 / SQRT2, 1 / SQRT2], atol=1e-15)
-    np.testing.assert_allclose(fp.g, [1 / SQRT2, -1 / SQRT2], atol=1e-15)
+    np.testing.assert_allclose(fp[0], [1 / SQRT2, 1 / SQRT2], atol=1e-15)
+    np.testing.assert_allclose(fp[1], [1 / SQRT2, -1 / SQRT2], atol=1e-15)
 
 
 def test_db2_matches_closed_form():
@@ -126,12 +126,12 @@ def test_db2_matches_closed_form():
     # plus two-vanishing-moment constraint system.
     s3 = math.sqrt(3.0)
     expected = np.array([1 + s3, 3 + s3, 3 - s3, 1 - s3]) / (4 * SQRT2)
-    np.testing.assert_allclose(make_daubechies(4).h, expected, atol=1e-10)
+    np.testing.assert_allclose(make_daubechies(4)[0], expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("taps", [6, 8])
 def test_matches_published_tables(taps):
-    np.testing.assert_allclose(make_daubechies(taps).h, PUBLISHED[taps], atol=1e-8)
+    np.testing.assert_allclose(make_daubechies(taps)[0], PUBLISHED[taps], atol=1e-8)
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
@@ -144,7 +144,7 @@ def test_vanishing_moments(taps):
     fp = make_daubechies(taps)
     n = np.arange(taps)
     for k in range(taps // 2):
-        assert abs(np.sum(fp.g * n**k)) < 1e-9
+        assert abs(np.sum(fp[1] * n**k)) < 1e-9
 
 
 @pytest.mark.parametrize("taps", [3, 5, 0, 10, -2])
@@ -154,7 +154,7 @@ def test_unsupported_taps_rejected(taps):
 
 
 def test_validate_flags_wrong_sum():
-    fp = FilterPair(h=np.array([1.0, 0.0]), g=np.array([0.0, 1.0]))
+    fp = np.array([[1.0, 0.0], [0.0, 1.0]])
     problems = validate_filter_pair(fp)
     assert any("sqrt(2)" in p for p in problems)
 
@@ -164,7 +164,7 @@ def test_validate_flags_constant_filter():
     # breaks is orthogonality to even shifts and the sqrt(2) sum.
     h = np.array([0.5, 0.5, 0.5, 0.5])
     g = (-1.0) ** np.arange(4) * h[::-1]
-    problems = validate_filter_pair(FilterPair(h=h, g=g))
+    problems = validate_filter_pair((h, g))
     assert any("orthogonality" in p for p in problems)
     assert any("sqrt(2)" in p for p in problems)
 
@@ -172,24 +172,39 @@ def test_validate_flags_constant_filter():
 def test_validate_flags_wrong_norm():
     h = np.array([0.5, 0.9, 0.5, 0.9])
     g = (-1.0) ** np.arange(4) * h[::-1]
-    problems = validate_filter_pair(FilterPair(h=h, g=g))
+    problems = validate_filter_pair((h, g))
     assert any("unit norm" in p for p in problems)
+    # Finite taps whose squares overflow: a violation, not a numpy warning.
+    assert any("unit norm" in p for p in validate_filter_pair((h * 1e200, g * 1e200)))
+
+
+@pytest.mark.parametrize(
+    "where, value, count", [(..., np.nan, 8), (5, np.nan, 1), (0, np.inf, 1), (7, -np.inf, 1)]
+)
+def test_validate_flags_non_finite_taps(where, value, count):
+    """A NaN residual passes every `> tolerance` check, so a pair with a NaN
+    or infinite tap is that one violation, before any other check."""
+    fp = make_daubechies(4).copy()
+    fp.flat[where] = value
+    assert validate_filter_pair(fp) == [f"{count} of 8 taps are not finite"]
 
 
 def test_validate_flags_quadrature_breakage():
     fp = make_daubechies(4)
-    problems = validate_filter_pair(FilterPair(h=fp.h, g=fp.g[::-1].copy()))
+    problems = validate_filter_pair((fp[0], fp[1, ::-1]))
     assert any("quadrature" in p for p in problems)
 
 
 def test_validate_flags_length_mismatch():
+    """A (2, taps) array cannot hold h and g of unequal length; a pair of any
+    other shape is one violation."""
     fp = make_daubechies(4)
-    problems = validate_filter_pair(FilterPair(h=fp.h, g=fp.g[:2].copy()))
-    assert problems == ["len(h)=4 != len(g)=2"]
+    assert validate_filter_pair(fp[0]) == ["shape (4,) is not (2, taps)"]
+    assert validate_filter_pair(np.vstack((fp, fp))) == ["shape (4, 4) is not (2, taps)"]
 
 
 @pytest.mark.parametrize("taps", [3, 1, 0])
 def test_validate_flags_odd_or_too_few_taps(taps):
     h = np.full(taps, 0.5)
-    problems = validate_filter_pair(FilterPair(h=h, g=h.copy()))
+    problems = validate_filter_pair((h, h))
     assert problems == [f"tap count {taps} is not an even integer >= 2"]

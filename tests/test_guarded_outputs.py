@@ -131,9 +131,7 @@ def test_filter_bytes_are_pinned():
     """h then g of taps 2, 4, 6 and 8: the bits every pyramid pin rests on."""
     digest = hashlib.sha256()
     for taps in (2, 4, 6, 8):
-        fp = make_daubechies(taps)
-        digest.update(fp.h.tobytes())
-        digest.update(fp.g.tobytes())
+        digest.update(make_daubechies(taps).tobytes())
     assert digest.hexdigest() == "03828d08b469c49bb1f9e9e1b626674d6ebaef5f0546280ff6dc6f6c3ddbe07e"
 
 
