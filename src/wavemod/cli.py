@@ -1,5 +1,8 @@
 """Command-line surface: filter inspection, file modem, BER sweeps.
 
+SETTINGS is the one list of ber-sweep's settings (each config key's flag,
+type, default and help); the file modem and filters take defaults from it.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error.
 """
 
@@ -17,7 +20,7 @@ from wavemod import _helpers
 from wavemod.ber import ExperimentConfig, run_monte_carlo
 from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filters import make_daubechies, validate_filter_pair
-from wavemod.modem import METHOD1, METHOD2, Modem
+from wavemod.modem import METHOD1, METHOD2, METHODS, Modem
 from wavemod.svgplot import render_ber_svg
 from wavemod.theory import energy_per_symbol_factor
 
@@ -37,17 +40,18 @@ CSV_COLUMNS = [
     "seed",
 ]
 
-DEFAULTS = {
-    "methods": "wm1,wm2,pam",
-    "scales": 6,
-    "message_len": 512,
-    "energy": 1.0,
-    "snr_grid": "-16:9:1",
-    "min_errors": 200,
-    "max_trials": 200,
-    "seed": 0,
-    "taps": 4,
-    "out": "ber.csv",
+# Config key -> (flag, type, default, help), in the ber-sweep parser's order.
+SETTINGS = {
+    "methods": ("--method", str, ",".join(METHODS), "comma-separated subset of wm1,wm2,pam"),
+    "scales": ("--scales", int, 6, None),
+    "message_len": ("--message-len", int, 512, None),
+    "snr_grid": ("--snr-grid", str, "-16:9:1", 'grid as "a:b:step" or comma list'),
+    "min_errors": ("--min-errors", int, 200, None),
+    "max_trials": ("--max-trials", int, 200, None),
+    "seed": ("--seed", int, 0, None),
+    "taps": ("--taps", int, 4, None),
+    "energy": ("--energy", float, 1.0, None),
+    "out": ("--out", str, "ber.csv", "CSV output path"),
 }
 
 # Most points an "a:b:step" SNR grid may have, checked before it is built.
@@ -82,6 +86,8 @@ def parse_snr_grid(text: str) -> tuple:
 def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise OSError(f"input file {path} does not exist") from None
     except UnicodeDecodeError:
         raise ConfigurationError(f"input file {path} is not UTF-8 text") from None
 
@@ -97,7 +103,7 @@ def read_config_file(path: Path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in DEFAULTS:
+        if key not in SETTINGS:
             raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -163,18 +169,14 @@ def _read_lines(path: Path, kind: str, parse) -> np.ndarray:
     """One value per non-blank line, each stripped and passed to parse, as a
     float64 array, parsed by _parse_lines. A malformed line in any share
     leads to a serial second pass over the whole text that names it."""
-    if not path.exists():
-        raise OSError(f"input file {path} does not exist")
     text = _read_text(path)
     try:
         values = _parse_lines(text, parse)
     except ValueError:
         # Only a bad file pays for the second pass that names its line.
         for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
             try:
-                if line:
-                    parse(line)
+                _text_share(parse, raw)
             except ValueError:
                 raise ConfigurationError(
                     f"{path}: line {lineno}: malformed {kind}: {raw!r}"
@@ -263,42 +265,37 @@ def _replace_on_success(path: Path):
 
 
 def _gather_settings(args) -> dict:
-    settings = dict(DEFAULTS)
-    if args.config:
-        settings.update(read_config_file(Path(args.config)))
-    for key in DEFAULTS:
-        if getattr(args, key) is not None:
-            settings[key] = getattr(args, key)
+    """Each SETTINGS key's value, typed: its flag, else its --config value
+    converted by the key's type, else its default."""
+    config = read_config_file(Path(args.config)) if args.config else {}
+    settings = {}
+    for key, (_, kind, default, _) in SETTINGS.items():
+        value = getattr(args, key)
+        if value is None and key in config:
+            try:
+                value = kind(config[key])
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ConfigurationError(
+                    f"config key {key!r}: {config[key]!r} is not {what}"
+                ) from None
+        settings[key] = default if value is None else value
     return settings
-
-
-def _int_setting(settings, key) -> int:
-    try:
-        return int(settings[key])
-    except ValueError:
-        raise ConfigurationError(f"config key {key!r}: {settings[key]!r} is not an integer")
 
 
 def cmd_ber_sweep(args) -> int:
     settings = _gather_settings(args)
-    methods = [m.strip() for m in str(settings["methods"]).split(",") if m.strip()]
+    methods = [m.strip() for m in settings["methods"].split(",") if m.strip()]
     if not methods:
         raise ConfigurationError("config key 'methods': no method given")
-    grid = parse_snr_grid(str(settings["snr_grid"]))
-    scales = _int_setting(settings, "scales")
-    seed = _int_setting(settings, "seed")
-    try:
-        energy = float(settings["energy"])
-    except ValueError:
-        raise ConfigurationError(f"config key 'energy': {settings['energy']!r} is not a number")
+    grid = parse_snr_grid(settings["snr_grid"])
+    scales, seed = settings["scales"], settings["seed"]
     # Every config is validated before the output is opened, so a bad one
     # leaves no file behind.
-    message_len, min_errors, max_trials, taps = (
-        _int_setting(settings, key) for key in ("message_len", "min_errors", "max_trials", "taps")
-    )
     configs = [
         ExperimentConfig(
-            Modem(method, scales, message_len, taps, energy), grid, min_errors, max_trials, seed
+            Modem(method, scales, settings["message_len"], settings["taps"], settings["energy"]),
+            grid, settings["min_errors"], settings["max_trials"], seed,
         )
         for method in methods
     ]
@@ -349,6 +346,12 @@ def cmd_ber_sweep(args) -> int:
 _parser = None
 
 
+def _add_setting(parser, key: str, default):
+    """Add SETTINGS[key]'s flag to parser, with this default."""
+    flag, kind, _, help_text = SETTINGS[key]
+    parser.add_argument(flag, dest=key, type=kind, default=default, help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and returned by every
     later one. Reuse is safe because argparse keeps nothing from one
@@ -365,31 +368,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("filters", help="print validated wavelet filter taps")
-    p.add_argument("--taps", type=int, default=4)
+    _add_setting(p, "taps", SETTINGS["taps"][2])
 
     for name in ("modulate", "demodulate"):
         p = sub.add_parser(name, help=f"{name} a text file through the modem")
         p.add_argument("input", help="newline-delimited input file")
         p.add_argument("--out", required=True)
         p.add_argument("--method", choices=[METHOD1, METHOD2], default=METHOD1)
-        p.add_argument("--scales", type=int, default=6)
-        p.add_argument("--taps", type=int, default=4)
-        if name == "modulate":
-            # Detection decides on signs only, so demodulate takes no energy.
-            p.add_argument("--energy", type=float, default=1.0)
+        # Detection decides on signs only, so demodulate takes no energy.
+        for key in ("scales", "taps", "energy") if name == "modulate" else ("scales", "taps"):
+            _add_setting(p, key, SETTINGS[key][2])
 
     p = sub.add_parser("ber-sweep", help="run Monte Carlo BER sweeps to CSV/SVG")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--method", dest="methods", help="comma-separated subset of wm1,wm2,pam")
-    p.add_argument("--scales", type=int)
-    p.add_argument("--message-len", dest="message_len", type=int)
-    p.add_argument("--snr-grid", dest="snr_grid", help='grid as "a:b:step" or comma list')
-    p.add_argument("--min-errors", dest="min_errors", type=int)
-    p.add_argument("--max-trials", dest="max_trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--taps", type=int)
-    p.add_argument("--energy", type=float)
-    p.add_argument("--out", help="CSV output path")
+    # Default None, so _gather_settings can tell a flag that was not given.
+    for key in SETTINGS:
+        _add_setting(p, key, None)
     p.add_argument("--plot", action="store_true", help="also emit an SVG next to the CSV")
 
     _parser = parser

@@ -303,6 +303,11 @@ def test_ber_sweep_out_setting(tmp_path, monkeypatch, capsys):
     [
         ("seed=abc", "config key 'seed': 'abc' is not an integer"),
         ("energy=abc", "config key 'energy': 'abc' is not a number"),
+        ("scales=abc", "config key 'scales': 'abc' is not an integer"),
+        ("message_len=abc", "config key 'message_len': 'abc' is not an integer"),
+        ("min_errors=abc", "config key 'min_errors': 'abc' is not an integer"),
+        ("max_trials=abc", "config key 'max_trials': 'abc' is not an integer"),
+        ("taps=abc", "config key 'taps': 'abc' is not an integer"),
     ],
 )
 def test_ber_sweep_config_value_that_does_not_parse(tmp_path, capsys, line, message):
@@ -314,6 +319,59 @@ def test_ber_sweep_config_value_that_does_not_parse(tmp_path, capsys, line, mess
     assert message in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+# Each ber-sweep setting: its flag, its default, the text of a --config line
+# and the value it gives, and the text of a flag and the value it gives.
+OVERLAY_CASES = {
+    "methods": ("--method", "wm1,wm2,pam", "pam", "pam", "wm2", "wm2"),
+    "scales": ("--scales", 6, "3", 3, "2", 2),
+    "message_len": ("--message-len", 512, "64", 64, "8", 8),
+    "snr_grid": ("--snr-grid", "-16:9:1", "0:4:2", "0:4:2", "-3", "-3"),
+    "min_errors": ("--min-errors", 200, "50", 50, "10", 10),
+    "max_trials": ("--max-trials", 200, "30", 30, "5", 5),
+    "seed": ("--seed", 0, "9", 9, "7", 7),
+    "taps": ("--taps", 4, "6", 6, "8", 8),
+    "energy": ("--energy", 1.0, "2.5", 2.5, "0.5", 0.5),
+    "out": ("--out", "ber.csv", "c.csv", "c.csv", "f.csv", "f.csv"),
+}
+
+
+@pytest.mark.parametrize("key", OVERLAY_CASES)
+def test_each_setting_is_its_flag_else_config_else_default(tmp_path, key):
+    """_gather_settings gives each setting, typed: the default when neither
+    the flag nor the --config file sets it, the file's value converted when
+    only the file does, and the flag's value when both do."""
+    assert list(cli.SETTINGS) == list(OVERLAY_CASES)
+    flag, default, config_text, config_value, flag_text, flag_value = OVERLAY_CASES[key]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={config_text}\n")
+    for argv, want in (
+        ([], default),
+        (["--config", str(cfg)], config_value),
+        (["--config", str(cfg), f"{flag}={flag_text}"], flag_value),
+    ):
+        args = cli.build_parser().parse_args(["ber-sweep", *argv])
+        got = cli._gather_settings(args)[key]
+        assert (got, type(got)) == (want, type(want))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ber-sweep", "--config", "missing.txt"],
+        ["modulate", "missing.txt", "--out", "o.txt"],
+        ["demodulate", "missing.txt", "--out", "o.txt"],
+    ],
+    ids=["config", "modulate", "demodulate"],
+)
+def test_missing_input_file_is_named(tmp_path, capsys, monkeypatch, argv):
+    """A --config file that does not exist is reported like a missing modem
+    input, exit 3, and no output is written."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "I/O error: input file missing.txt does not exist\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_svg_axes_of_degenerate_curves():
