@@ -88,6 +88,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise OSError(f"input file {path} does not exist") from None
+    except OSError as exc:
+        raise OSError(f"input file {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ConfigurationError(f"input file {path} is not UTF-8 text") from None
 
@@ -254,7 +256,8 @@ def _replace_on_success(path: Path):
     try:
         handle = tmp.open("w", newline="")
     except OSError as exc:
-        raise OSError(f"cannot open output {path}: {exc}")
+        # strerror alone: the exception's text names the temporary file.
+        raise OSError(f"cannot open output {path}: {exc.strerror}") from None
     try:
         with handle:
             yield handle

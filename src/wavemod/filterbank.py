@@ -18,16 +18,15 @@ the same bits. That order fixes the floating-point result bit for bit,
 sign of zero included.
 
 Every kernel takes an optional work area, one float64 array that holds its
-padded copies and partial products; the pyramids size one for their
-largest level and every level reuses it, so a caller that keeps a work
-area per direction allocates no array as long as a level's input but
-the ones the calls return, and none at all with analyze_pyramid's out=.
+padded copies and partial products. Both directions lay it out alike, so
+one work_area serves both: the pyramids size one for their largest level
+and every level reuses it, so a caller that keeps one work area
+allocates no array as long as a level's input but the ones the calls
+return, and none at all with analyze_pyramid's out=.
 Each step copies its input into the work area before it writes its
 output, so an output may overlap the input: the pyramids use the array
 they return as ping-pong space between levels.
 """
-
-from itertools import accumulate
 
 import numpy as np
 
@@ -69,36 +68,25 @@ def _cyclic(v: np.ndarray, start: int, count: int) -> np.ndarray:
     return v[..., np.arange(start, start + count) % n]
 
 
-def _split(work, lengths):
-    """Consecutive (2, n) views of work, one per row length n; a fresh work
-    area when work is None."""
-    ends = list(accumulate(2 * n for n in lengths))
+def work_area(num_samples: int, fp: np.ndarray) -> np.ndarray:
+    """A work area for analyzing or synthesizing blocks of up to
+    num_samples samples."""
+    return np.empty(2 * num_samples + fp.shape[1] - 2)
+
+
+def _step_views(work, half: int, taps: int):
+    """A step's two consecutive views of work, or of a fresh work area when
+    work is None: (2, half + taps/2 - 1) input rows, padded cyclically by
+    taps/2 - 1 samples (analysis: the even and odd phases; synthesis: the
+    coarse and detail rows), and (2, half) partial products of both
+    branches."""
+    rows = half + taps // 2 - 1
+    need = 2 * (rows + half)
     if work is None:
-        work = np.empty(ends[-1])
-    elif len(work) < ends[-1]:
-        raise ShapeError(f"work area of {len(work)} samples, kernel needs {ends[-1]}")
-    return [work[end - 2 * n : end].reshape(2, n) for n, end in zip(lengths, ends)]
-
-
-def _analysis_lengths(n_in: int, taps: int):
-    # Rows: the even and odd phases of the input, each extended cyclically
-    # by taps/2 - 1 samples; the partial products of both branches.
-    return (n_in // 2 + taps // 2 - 1, n_in // 2)
-
-
-def _synthesis_lengths(n_low: int, taps: int):
-    # Rows: the padded coarse and detail inputs; their partial products.
-    return (taps // 2 - 1 + n_low, n_low)
-
-
-def analysis_work(num_samples: int, fp: np.ndarray) -> np.ndarray:
-    """A work area for analyzing blocks of up to num_samples samples."""
-    return np.empty(2 * sum(_analysis_lengths(num_samples, fp.shape[1])))
-
-
-def synthesis_work(num_samples: int, fp: np.ndarray) -> np.ndarray:
-    """A work area for synthesizing blocks of up to num_samples samples."""
-    return np.empty(2 * sum(_synthesis_lengths(num_samples // 2, fp.shape[1])))
+        work = np.empty(need)
+    elif len(work) < need:
+        raise ShapeError(f"work area of {len(work)} samples, kernel needs {need}")
+    return work[: 2 * rows].reshape(2, rows), work[2 * rows : need].reshape(2, half)
 
 
 def analysis_step(c_next, fp: np.ndarray, work=None, out=None):
@@ -114,7 +102,7 @@ def analysis_step(c_next, fp: np.ndarray, work=None, out=None):
         raise ShapeError(f"analysis input length {n_in} is odd")
     half = n_in // 2
     taps = fp.shape[1]
-    phases, term = _split(work, _analysis_lengths(n_in, taps))
+    phases, term = _step_views(work, half, taps)
     # Output n reads c_next[2n + i] for taps i = 0..taps-1. Tap i = 2k + p
     # is sample n + k of phase p (c_next[p::2]), indices mod N/2, so
     # extending each phase cyclically by pad = taps/2 - 1 samples turns it
@@ -152,7 +140,7 @@ def synthesis_step(c, x, fp: np.ndarray, work=None, out=None):
     if n_low != len(x):
         raise ShapeError(f"coarse/detail length mismatch: {n_low} vs {len(x)}")
     taps = fp.shape[1]
-    padded, term = _split(work, _synthesis_lengths(n_low, taps))
+    padded, term = _step_views(work, n_low, taps)
     # Output 2j + p takes taps i = 2k + p (k = 0..taps/2-1) at input j - k.
     # Prepending the pad = taps/2 - 1 samples that cyclically precede
     # index 0 turns input j - k into the contiguous slice [pad - k, pad - k
@@ -187,14 +175,14 @@ def _base_length(n: int, num_scales: int) -> int:
 def synthesize_pyramid(frame, num_scales: int, fp: np.ndarray, work=None) -> np.ndarray:
     """Run the inverse pyramid: coarse branch up through every detail level.
 
-    work is a synthesis_work area for at least len(frame) samples, or None.
+    work is a work_area for at least len(frame) samples, or None.
     Level m writes its output into the first n0 * 2**(m+1) samples of the
     returned array, which the next level reads as its coarse input.
     """
     frame = _as_float_array(frame)
     n0 = _base_length(len(frame), num_scales)
     if work is None:
-        work = synthesis_work(len(frame), fp)
+        work = work_area(len(frame), fp)
     out = np.empty(len(frame))
     out[:n0] = frame[:n0]
     for m in range(num_scales):
@@ -205,17 +193,17 @@ def synthesize_pyramid(frame, num_scales: int, fp: np.ndarray, work=None) -> np.
 def analyze_pyramid(samples, num_scales: int, fp: np.ndarray, work=None, out=None) -> np.ndarray:
     """Run the forward pyramid, peeling one detail level into the frame per step.
 
-    work is an analysis_work area for at least len(samples) samples, or
-    None. The frame goes into out, a float64 array of len(samples), or a
-    fresh array; out may be samples itself, since each step copies its
-    input into the work area first. Level m writes its coarse output into
+    work is a work_area for at least len(samples) samples, or None. The
+    frame goes into out, a float64 array of len(samples), or a fresh
+    array; out may be samples itself, since each step copies its input
+    into the work area first. Level m writes its coarse output into
     frame[:n0 * 2**m], which the next level reads, and its detail straight
     into level_slice(n0, m).
     """
     c = _as_float_array(samples)
     n0 = _base_length(len(c), num_scales)
     if work is None:
-        work = analysis_work(len(c), fp)
+        work = work_area(len(c), fp)
     if out is None:
         frame = np.empty(len(c))
     elif len(out) != len(c):

@@ -62,9 +62,10 @@ class Modem:
     filter taps and per-copy symbol energy E0. PAM ignores scales, not
     taps: it runs the depth-0 chain with the taps' filter pair.
 
-    A modem owns the pyramid work areas, which every block reuses. Each is
-    built on first use, so one Modem is not for concurrent use. Pickling
-    keeps only the constructor fields: the copy builds its own.
+    A modem owns one pyramid work area, which every block reuses in both
+    directions. It is built on first use, so one Modem is not for
+    concurrent use. Pickling keeps only the constructor fields: the copy
+    builds its own.
     """
 
     method: str
@@ -122,16 +123,14 @@ class Modem:
     def modulate(self, bits) -> np.ndarray:
         """message_len bits (0 or 1) -> one frame of samples, a new array."""
         return filterbank.synthesize_pyramid(
-            self._place(self._symbols(bits)), self.depth, self.filter_pair, self._synthesis_work
+            self._place(self._symbols(bits)), self.depth, self.filter_pair, self._work
         )
 
     def demodulate(self, samples) -> np.ndarray:
         """One frame of samples -> message_len detected bits (int64)."""
         if len(samples) != self.num_samples:
             raise ShapeError(f"frame has {len(samples)} samples, expected {self.num_samples}")
-        frame = filterbank.analyze_pyramid(
-            samples, self.depth, self.filter_pair, self._analysis_work
-        )
+        frame = filterbank.analyze_pyramid(samples, self.depth, self.filter_pair, self._work)
         return detector.detect_block(frame, self.method, self.depth)
 
     def transmit(self, bits, noise: np.ndarray) -> np.ndarray:
@@ -150,7 +149,7 @@ class Modem:
             raise ShapeError(f"noise has {len(noise)} samples, expected {self.num_samples}")
         symbols = self._symbols(bits)
         frame = filterbank.analyze_pyramid(
-            noise, self.depth, self.filter_pair, self._analysis_work, out=noise
+            noise, self.depth, self.filter_pair, self._work, out=noise
         )
         self._place(symbols, out=frame)
         return detector.detect_block(frame, self.method, self.depth)
@@ -165,11 +164,7 @@ class Modem:
         place = codec.place_method1 if self.method == METHOD1 else codec.place_method2
         return place(symbols, self.depth, out)
 
-    # At depth 0 no pyramid step runs, so the work areas hold no frame.
+    # At depth 0 no pyramid step runs, so the work area holds no frame.
     @cached_property
-    def _synthesis_work(self) -> np.ndarray:
-        return filterbank.synthesis_work(self.num_samples if self.depth else 0, self.filter_pair)
-
-    @cached_property
-    def _analysis_work(self) -> np.ndarray:
-        return filterbank.analysis_work(self.num_samples if self.depth else 0, self.filter_pair)
+    def _work(self) -> np.ndarray:
+        return filterbank.work_area(self.num_samples if self.depth else 0, self.filter_pair)

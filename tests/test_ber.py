@@ -413,7 +413,7 @@ print(blocks, faults / blocks)
 @pytest.mark.parametrize("method", ["wm1", "wm2"])
 def test_sweep_never_synthesizes(monkeypatch, method):
     """The harness analyzes only the noise: no block runs the synthesis
-    pyramid or builds its work area."""
+    pyramid, and the modem caches no array but its one work area."""
     def synthesize(*args, **kwargs):
         raise AssertionError("the sweep synthesized a frame")
 
@@ -422,7 +422,8 @@ def test_sweep_never_synthesizes(monkeypatch, method):
     modem = Modem(method, 4, 64)
     cfg = ExperimentConfig(modem, (-6.0, 0.0), min_errors=50, max_trials=5)
     assert sum(p.trials for p in run_monte_carlo(cfg)) > 0
-    assert "_synthesis_work" not in vars(modem)
+    cached = {k for k, v in vars(modem).items() if isinstance(v, np.ndarray)} - {"filter_pair"}
+    assert cached == {"_work"}
 
 
 def test_snr_at_ber_inversion():

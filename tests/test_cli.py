@@ -223,6 +223,10 @@ def test_ber_sweep_unknown_method(tmp_path, capsys):
 def test_ber_sweep_unwritable_output(tmp_path, capsys):
     rc = main(sweep_args(tmp_path, "nodir/out.csv"))
     assert rc == 3
+    err = capsys.readouterr().err
+    assert "cannot open output" in err and "nodir/out.csv" in err
+    # The message names the output, not the temporary file behind it.
+    assert ".tmp" not in err and "[Errno" not in err
 
 
 def test_ber_sweep_output_is_directory(tmp_path, capsys, monkeypatch):
@@ -372,6 +376,25 @@ def test_missing_input_file_is_named(tmp_path, capsys, monkeypatch, argv):
     assert main(argv) == 3
     assert capsys.readouterr().err == "I/O error: input file missing.txt does not exist\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ber-sweep", "--config", "d"],
+        ["modulate", "d", "--out", "o.txt"],
+        ["demodulate", "d", "--out", "o.txt"],
+    ],
+    ids=["config", "modulate", "demodulate"],
+)
+def test_input_naming_a_directory_is_named(tmp_path, capsys, monkeypatch, argv):
+    """An input that cannot be read is named with the reason, exit 3, no
+    raw errno text, and no output is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "I/O error: input file d: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 def test_svg_axes_of_degenerate_curves():

@@ -7,12 +7,11 @@ import pytest
 from wavemod.errors import ShapeError
 from wavemod.filterbank import (
     analysis_step,
-    analysis_work,
     analyze_pyramid,
     level_slice,
     synthesis_step,
-    synthesis_work,
     synthesize_pyramid,
+    work_area,
 )
 from wavemod.filters import make_daubechies
 
@@ -196,18 +195,24 @@ def test_analysis_pyramid_matches_naive_reference(taps):
     v[:2048] = -0.0  # a run of zeros keeps zero outputs down to the coarsest level
     want = naive_kernels.analyze_pyramid(v, 6, *fp)
     assert_bit_identical(analyze_pyramid(v, 6, fp), want)
-    assert_bit_identical(analyze_pyramid(v, 6, fp, analysis_work(len(v), fp), out=v), want)
+    assert_bit_identical(analyze_pyramid(v, 6, fp, work_area(len(v), fp), out=v), want)
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
-def test_analysis_work_area_length(taps):
-    """An analysis work area is N + taps - 2 + N samples: the two padded
-    phases and the partial products of both branches. A synthesis work area
-    is 2N + taps - 2: the two padded inputs and their partial products."""
+def test_one_work_area_serves_both_directions(taps):
+    """work_area(N) is 2N + taps - 2 samples, which a one-level pyramid in
+    either direction fills: the two padded input rows and the partial
+    products of both branches. One sample less is refused by both."""
     fp = make_daubechies(taps)
+    rng = np.random.default_rng(taps)
     for n in (2, 6, 1024, 32768):
-        assert len(analysis_work(n, fp)) == n + taps - 2 + n
-        assert len(synthesis_work(n, fp)) == 2 * n + taps - 2
+        work = work_area(n, fp)
+        assert len(work) == 2 * n + taps - 2
+        block = rng.standard_normal(n)
+        for pyramid in (synthesize_pyramid, analyze_pyramid):
+            assert_bit_identical(pyramid(block, 1, fp, work), pyramid(block, 1, fp))
+            with pytest.raises(ShapeError, match="work area"):
+                pyramid(block, 1, fp, work[:-1])
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
@@ -226,23 +231,22 @@ def test_empty_input_matches_naive_reference(taps):
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
 def test_pyramids_with_a_work_area_match_fresh_ones(taps):
-    """One work area per direction, sized for the largest frame and dirty
-    from earlier calls, gives the bytes of a fresh one, sign of zero too."""
+    """One work area for both directions, sized for the largest frame and
+    dirty from earlier calls, gives the bytes of a fresh one, sign of zero
+    too."""
     fp = make_daubechies(taps)
     rng = np.random.default_rng(taps)
-    syn_work = synthesis_work(1024, fp)
-    ana_work = analysis_work(1024, fp)
-    syn_work[:] = np.nan
-    ana_work[:] = np.nan
+    work = work_area(1024, fp)
+    work[:] = np.nan
     for n0, num_scales in ((1, 1), (2, 3), (1, 10), (16, 6), (3, 2)):
         frame = random_frame(rng, n0, num_scales)
         frame[: n0 * 2 ** (num_scales - 1)] = -0.0
         frame[::3] = 0.0
         block = synthesize_pyramid(frame, num_scales, fp)
-        assert_bit_identical(synthesize_pyramid(frame, num_scales, fp, syn_work), block)
+        assert_bit_identical(synthesize_pyramid(frame, num_scales, fp, work), block)
         for samples in (block, np.zeros_like(block), -np.zeros_like(block)):
             assert_bit_identical(
-                analyze_pyramid(samples, num_scales, fp, ana_work),
+                analyze_pyramid(samples, num_scales, fp, work),
                 analyze_pyramid(samples, num_scales, fp),
             )
 
@@ -251,19 +255,19 @@ def test_pyramids_leave_their_input_unchanged():
     fp = make_daubechies(8)
     frame = random_frame(np.random.default_rng(9), 2, 4)
     kept = frame.copy()
-    block = synthesize_pyramid(frame, 4, fp, synthesis_work(len(frame), fp))
+    block = synthesize_pyramid(frame, 4, fp, work_area(len(frame), fp))
     assert_bit_identical(frame, kept)
     kept = block.copy()
-    analyze_pyramid(block, 4, fp, analysis_work(len(block), fp))
+    analyze_pyramid(block, 4, fp, work_area(len(block), fp))
     assert_bit_identical(block, kept)
 
 
 def test_short_work_area_rejected():
     fp = make_daubechies(4)
     with pytest.raises(ShapeError, match="work area"):
-        synthesize_pyramid(np.zeros(64), 3, fp, synthesis_work(32, fp))
+        synthesize_pyramid(np.zeros(64), 3, fp, work_area(32, fp))
     with pytest.raises(ShapeError, match="work area"):
-        analyze_pyramid(np.zeros(64), 3, fp, analysis_work(32, fp))
+        analyze_pyramid(np.zeros(64), 3, fp, work_area(32, fp))
 
 
 @pytest.mark.parametrize("taps", [2, 4, 6, 8])
@@ -273,7 +277,7 @@ def test_analysis_in_place_gives_the_fresh_bytes(taps):
     x[:40] = 0.0  # zero outputs keep their sign bit too
     x[5:40:3] = -0.0
     fresh = analyze_pyramid(x, 4, fp)
-    out = analyze_pyramid(x, 4, fp, analysis_work(len(x), fp), out=x)
+    out = analyze_pyramid(x, 4, fp, work_area(len(x), fp), out=x)
     assert out is x
     assert out.tobytes() == fresh.tobytes()
     with pytest.raises(ShapeError, match="output"):
