@@ -232,8 +232,6 @@ def cmd_modulate(args) -> int:
 
 def cmd_demodulate(args) -> int:
     samples = _read_lines(Path(args.input), "sample", float)
-    if not np.isfinite(samples).all():
-        raise ConfigurationError(f"input file {args.input} has non-finite samples")
     modem = Modem.for_samples(args.method, args.scales, len(samples), args.taps)
     _write_lines(Path(args.out), "%d\n", modem.demodulate(samples))
     return EXIT_OK

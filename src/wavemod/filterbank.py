@@ -23,9 +23,10 @@ one work_area serves both: the pyramids size one for their largest level
 and every level reuses it, so a caller that keeps one work area
 allocates no array as long as a level's input but the ones the calls
 return, and none at all with analyze_pyramid's out=.
-Each step copies its input into the work area before it writes its
-output, so an output may overlap the input: the pyramids use the array
-they return as ping-pong space between levels.
+Both steps speak the depth-1 frame format: analysis_step returns, and
+synthesis_step takes, one array [c | x]. Each step copies its input into
+the work area before it writes its output, so the output may be the
+input itself: both pyramids run every level in place in what they return.
 """
 
 import numpy as np
@@ -93,8 +94,8 @@ def analysis_step(c_next, fp: np.ndarray, work=None, out=None):
     """One pyramid level down: circular filter by h and g, decimate by 2.
 
     c(n) = sum_m h(m - 2n) c_next(m mod N), likewise x with g.
-    Returns (c, x), each of length N/2: the two halves of out (N samples,
-    fresh if not given; it may overlap c_next).
+    Returns the one-level frame [c | x], the first N samples of out (fresh
+    if not given; it may overlap c_next).
     """
     c_next = _as_float_array(c_next)
     n_in = len(c_next)
@@ -110,10 +111,9 @@ def analysis_step(c_next, fp: np.ndarray, work=None, out=None):
     # the phase more than once (8 taps, N = 2).
     phases[:, :half] = c_next.reshape(half, 2).T
     phases[:, half:] = _cyclic(phases[:, :half], 0, taps // 2 - 1)
-    if out is None:
-        out = np.empty(n_in)
+    out = np.empty(n_in) if out is None else out[:n_in]
     # Rows c and x; tap i of h and g as a (2, 1) column.
-    cx = out[:n_in].reshape(2, half)
+    cx = out.reshape(2, half)
     column = fp.T[:, :, None]
     # Starting from tap 0's product rather than from +0.0 changes at most
     # the sign of a zero partial sum, since a zero of either sign leaves a
@@ -123,22 +123,22 @@ def analysis_step(c_next, fp: np.ndarray, work=None, out=None):
     for i in range(1, taps):
         cx += np.multiply(column[i], phases[i % 2, i // 2 : i // 2 + half], out=term)
     cx += 0.0
-    return cx[0], cx[1]
+    return out
 
 
-def synthesis_step(c, x, fp: np.ndarray, work=None, out=None):
+def synthesis_step(cx, fp: np.ndarray, work=None, out=None):
     """One pyramid level up: upsample, filter, sum the two branches.
 
     c_next(m) = sum_n h(m - 2n) c(n) + sum_n g(m - 2n) x(n), indices
-    modulo 2*len(c). Exact inverse of analysis_step for orthonormal fp.
-    Returns the first 2*len(c) samples of out (fresh if not given; it may
-    overlap c or x).
+    modulo N, for the one-level frame cx = [c | x] of N samples. Exact
+    inverse of analysis_step for orthonormal fp. Returns the first N
+    samples of out (fresh if not given; it may overlap cx).
     """
-    c = _as_float_array(c)
-    x = _as_float_array(x)
-    n_low = len(c)
-    if n_low != len(x):
-        raise ShapeError(f"coarse/detail length mismatch: {n_low} vs {len(x)}")
+    cx = _as_float_array(cx)
+    n_in = len(cx)
+    if n_in % 2 != 0:
+        raise ShapeError(f"synthesis input length {n_in} is odd")
+    n_low = n_in // 2
     taps = fp.shape[1]
     padded, term = _step_views(work, n_low, taps)
     # Output 2j + p takes taps i = 2k + p (k = 0..taps/2-1) at input j - k.
@@ -147,12 +147,9 @@ def synthesis_step(c, x, fp: np.ndarray, work=None, out=None):
     # + n_low) of the padded rows c and x, one slice per tap and output
     # parity.
     pad = taps // 2 - 1
-    padded[0, pad:] = c
-    padded[1, pad:] = x
+    padded[:, pad:] = cx.reshape(2, n_low)
     padded[:, :pad] = _cyclic(padded[:, pad:], -pad, pad)
-    if out is None:
-        out = np.empty(2 * n_low)
-    out = out[: 2 * n_low]
+    out = np.empty(n_in) if out is None else out[:n_in]
     out[...] = 0.0
     column = fp.T[:, :, None]
     hc, gx = term
@@ -175,18 +172,16 @@ def _base_length(n: int, num_scales: int) -> int:
 def synthesize_pyramid(frame, num_scales: int, fp: np.ndarray, work=None) -> np.ndarray:
     """Run the inverse pyramid: coarse branch up through every detail level.
 
-    work is a work_area for at least len(frame) samples, or None.
-    Level m writes its output into the first n0 * 2**(m+1) samples of the
-    returned array, which the next level reads as its coarse input.
+    work is a work_area for at least len(frame) samples, or None. The
+    frame is copied once; level m then turns the first n0 * 2**(m+1)
+    samples of the copy, in place, into the next level's coarse input.
     """
-    frame = _as_float_array(frame)
-    n0 = _base_length(len(frame), num_scales)
+    out = np.array(frame, dtype=np.float64)
+    n0 = _base_length(len(out), num_scales)
     if work is None:
-        work = work_area(len(frame), fp)
-    out = np.empty(len(frame))
-    out[:n0] = frame[:n0]
+        work = work_area(len(out), fp)
     for m in range(num_scales):
-        synthesis_step(out[: n0 << m], frame[level_slice(n0, m)], fp, work, out)
+        synthesis_step(out[: n0 << (m + 1)], fp, work, out)
     return out
 
 
@@ -211,6 +206,6 @@ def analyze_pyramid(samples, num_scales: int, fp: np.ndarray, work=None, out=Non
     else:
         frame = out
     for m in reversed(range(num_scales)):
-        c, _ = analysis_step(c, fp, work, frame[: n0 << (m + 1)])
+        c = analysis_step(c, fp, work, frame)[: n0 << m]
     frame[:n0] = c
     return frame

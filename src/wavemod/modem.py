@@ -127,10 +127,14 @@ class Modem:
         )
 
     def demodulate(self, samples) -> np.ndarray:
-        """One frame of samples -> message_len detected bits (int64)."""
+        """One frame of samples -> message_len detected bits (int64); a
+        ConfigurationError if a sample is nan or inf or the analysis overflows."""
         if len(samples) != self.num_samples:
             raise ShapeError(f"frame has {len(samples)} samples, expected {self.num_samples}")
-        frame = filterbank.analyze_pyramid(samples, self.depth, self.filter_pair, self._work)
+        with np.errstate(over="ignore", invalid="ignore"):
+            frame = filterbank.analyze_pyramid(samples, self.depth, self.filter_pair, self._work)
+        if not np.isfinite(frame).all():
+            raise ConfigurationError("non-finite frame: a nan or inf sample, or an overflow")
         return detector.detect_block(frame, self.method, self.depth)
 
     def transmit(self, bits, noise: np.ndarray) -> np.ndarray:

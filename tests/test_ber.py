@@ -2,20 +2,18 @@ import math
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
+import fresh_process
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import wavemod
 import wavemod.ber as ber
 
 from wavemod import _helpers, codec, filterbank
@@ -364,9 +362,7 @@ blocks = sum(p.trials for p in run_monte_carlo(cfg)) // 512
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print("scipy" in sys.modules, blocks, faults / blocks)
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = fresh_process.run(code)
     assert done.returncode == 0, done.stderr
     scipy_loaded, blocks, faults_per_block = done.stdout.split()
     assert int(blocks) >= 10
@@ -401,9 +397,7 @@ blocks = sum(p.trials for _ in range(3) for p in run_monte_carlo(cfg)) // 512
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(blocks, faults / blocks)
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = fresh_process.run(code)
     assert done.returncode == 0, done.stderr
     blocks, faults_per_block = done.stdout.split()
     assert int(blocks) >= 100
@@ -694,10 +688,7 @@ assert h.run(same, None, [[0], [1], [2]]) == [0, 1, 2]
 open({str(pids)!r}, "w").write(" ".join(str(helper.pid) for helper in h.pool))
 os._exit(0)
 """
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    # No pipes: the helpers inherit the owner's output descriptors.
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    done = fresh_process.run(code)
     assert done.returncode == 0
     helper_pids = [int(p) for p in pids.read_text().split()]
     assert len(helper_pids) == 2

@@ -5,19 +5,17 @@ import io
 import os
 import pickle
 import signal
-import subprocess
-import sys
 import tempfile
 import threading
 import warnings
 from pathlib import Path
 
+import fresh_process
 import naive_cli_io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-import wavemod
 import wavemod.ber as ber
 from wavemod import _helpers
 from wavemod import cli
@@ -470,6 +468,23 @@ def test_demodulate_rejects_non_finite_samples(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("signs", ["alternating", "constant"])
+def test_demodulate_refuses_an_analysis_that_overflows(tmp_path, capsys, split_text, signs):
+    """Finite samples of +-1.7e308 overflow the pyramid's sums: exit 2, no
+    output and no numpy warning, never bits decided on inf or nan."""
+    pattern = [1.0, -1.0] if signs == "alternating" else [1.0]
+    src = tmp_path / "samples.txt"
+    src.write_text("".join(f"{v!r}\n" for v in (np.resize(pattern, 32768) * 1.7e308).tolist()))
+    out = tmp_path / "bits.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["demodulate", str(src), "--out", str(out), "--method", "wm2", "--scales", "6"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "non-finite" in err and "Warning" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -633,9 +648,7 @@ def run_cli_reporting_modules(tmp_path, argvs, modules):
         "    assert c.main(argv) == 0\n"
         f"print(*(m in sys.modules for m in {modules!r}))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_process.run(code, tmp_path)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1].split()
 
@@ -692,9 +705,7 @@ def test_failed_write_leaves_no_partial_output(tmp_path, command, limit):
         f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
         f"sys.exit(c.main({[command, src, '--out', 'out.txt', *a]!r}))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_process.run(code, tmp_path)
     assert done.returncode == 3, done.stderr
     assert "I/O error" in done.stderr and "Traceback" not in done.stderr
     assert out.read_text() == "old\n"
@@ -750,9 +761,7 @@ def test_ber_sweep_process_exits_and_leaves_no_helper(tmp_path):
         "assert c.main(argv) == 0\n"
         "print(*(helper.pid for helper in h.pool))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_process.run(code, tmp_path)
     assert done.returncode == 0, done.stderr
     pids = [int(p) for p in done.stdout.splitlines()[-1].split()]
     assert len(pids) == 2
@@ -950,9 +959,7 @@ def run_cli_module_recording_forks(tmp_path, argv):
         f"sys.argv = ['wavemod', *{list(argv)!r}]\n"
         "runpy.run_module('wavemod.cli', run_name='__main__', alter_sys=True)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_process.run(code, tmp_path)
     assert done.returncode == 0, done.stderr
     return [int(pid) for pid in done.stdout.split()]
 

@@ -1,15 +1,11 @@
 import math
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
+import fresh_process
 import mpmath
 import numpy as np
 import pytest
 
-import wavemod
 from wavemod.errors import ConfigurationError
 from wavemod.filters import SUPPORTED_TAPS, make_daubechies, validate_filter_pair
 
@@ -98,10 +94,8 @@ def test_runtime_path_needs_no_root_finder():
         pairs = [make_daubechies(taps) for taps in SUPPORTED_TAPS]
         print(len(pairs), "numpy.polynomial" in sys.modules)
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(wavemod.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
+    done = fresh_process.run(script)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(len(SUPPORTED_TAPS)), "False"]
 
 

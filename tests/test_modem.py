@@ -132,6 +132,13 @@ def test_for_samples_violations(method, num_scales, num_samples, message):
         Modem.for_samples(method, num_scales, num_samples)
 
 
+def test_demodulate_refuses_a_non_finite_frame():
+    samples = np.ones(64)
+    samples[17] = np.nan
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        Modem("wm2", 3, 8).demodulate(samples)
+
+
 def test_block_length_must_match():
     modem = Modem("wm2", 3, 4)
     with pytest.raises(ShapeError, match="bits"):
