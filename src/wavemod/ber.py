@@ -30,10 +30,17 @@ class BerPoint:
     ber_theory_ideal: float = None  # Method 1 only
 
 
+# Most points an SNR grid may have. _run_point keys a block's noise as
+# _NOISE_TAG | pt << 40 | block, which stays one key per (point, block) only
+# for pt < 2**22: point 2**22 would draw point 0's noise.
+MAX_SNR_POINTS = 10_000
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One modem over an SNR grid (dB, per copy), with the stop rule and
-    the seed. The modem checks method, scales, length, taps and energy."""
+    the seed. The modem checks method, scales, length, taps and energy;
+    the grid must hold 1 to MAX_SNR_POINTS finite points."""
 
     modem: Modem
     snr_grid_db: tuple
@@ -44,6 +51,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.snr_grid_db) == 0:
             raise ConfigurationError("snr_grid_db must be nonempty")
+        if len(self.snr_grid_db) > MAX_SNR_POINTS:
+            raise ConfigurationError(
+                f"SNR grid has {len(self.snr_grid_db)} points, more than {MAX_SNR_POINTS}"
+            )
         if not all(map(isfinite, self.snr_grid_db)):
             raise ConfigurationError("SNR grid points must be finite")
         energy = self.modem.symbol_energy

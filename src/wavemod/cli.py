@@ -3,12 +3,13 @@
 SETTINGS is the one list of ber-sweep's settings (each config key's flag,
 type, default and help); the file modem and filters take defaults from it.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 I/O error or out of memory.
 """
 
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from wavemod import _helpers
-from wavemod.ber import ExperimentConfig, run_monte_carlo
+from wavemod.ber import MAX_SNR_POINTS, ExperimentConfig, run_monte_carlo
 from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filters import make_daubechies, validate_filter_pair
 from wavemod.modem import METHOD1, METHOD2, METHODS, Modem
@@ -54,12 +55,11 @@ SETTINGS = {
     "out": ("--out", str, "ber.csv", "CSV output path"),
 }
 
-# Most points an "a:b:step" SNR grid may have, checked before it is built.
-MAX_SNR_POINTS = 10_000
-
 
 def parse_snr_grid(text: str) -> tuple:
-    """Parse "a:b:step" (inclusive endpoints) or a comma-separated list."""
+    """Parse "a:b:step" (inclusive endpoints) or a comma-separated list.
+    An "a:b:step" grid over MAX_SNR_POINTS is refused before it is built;
+    ExperimentConfig refuses a longer list."""
     try:
         if ":" in text:
             lo, hi, step = (float(p) for p in text.split(":"))
@@ -239,18 +239,34 @@ def cmd_demodulate(args) -> int:
 
 def _refuse_directory(path: Path):
     """An output path that names a directory ("", ".", "/" included) is an
-    I/O error, raised before any file name is derived from it."""
-    if path.is_dir():
+    I/O error, raised before any file name is derived from it. A path that
+    cannot be examined (a name over the filesystem's limit, say) is left
+    to the open of the temporary file, whose error names the output."""
+    if os.path.isdir(path):
         raise OSError(f"cannot open output {path}: is a directory")
+
+
+# Numbers this process's temporary output files, so that two outputs of
+# one run (--plot's CSV and SVG) never share a temporary name.
+_temporaries = itertools.count()
 
 
 @contextlib.contextmanager
 def _replace_on_success(path: Path):
     """Yield a handle on a temporary file that replaces path if the block
     completes and is deleted if it raises. Opened before the block runs, so
-    an output that cannot be written fails before any work is done."""
+    an output that cannot be written fails before any work is done.
+
+    The temporary file sits in path's directory. Its name is a unique
+    prefix (".<pid>.<count>.") and as much of the head of path's name as
+    keeps it no longer, in bytes, than path's name: an output name the
+    filesystem takes has a temporary name it takes too, and a name it
+    refuses fails here."""
     _refuse_directory(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    prefix = f".{os.getpid()}.{next(_temporaries)}."
+    name = os.fsencode(path.name)
+    head = name[: max(0, len(name) - len(prefix))].decode("utf-8", "ignore")
+    tmp = path.with_name(prefix + head)
     try:
         handle = tmp.open("w", newline="")
     except OSError as exc:
@@ -411,6 +427,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        # The outputs are written through _replace_on_success: none is left.
+        print("error: out of memory", file=sys.stderr)
         return EXIT_IO
 
 

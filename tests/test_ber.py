@@ -280,6 +280,17 @@ def test_config_validation():
         ExperimentConfig(Modem("pam", 1, 64), ())
 
 
+def test_config_caps_the_grid_below_the_noise_key_limit():
+    """A grid of either form holds at most MAX_SNR_POINTS points, so every
+    point's noise key is its own: point 2**22 would draw point 0's noise."""
+    grid = tuple(float(i % 20) for i in range(ber.MAX_SNR_POINTS))
+    assert len(ExperimentConfig(Modem("pam", 1, 8), grid).snr_grid_db) == ber.MAX_SNR_POINTS
+    with pytest.raises(ConfigurationError, match="more than 10000"):
+        ExperimentConfig(Modem("pam", 1, 8), grid + (0.0,))
+    # The last point's index stays below the tag bit it is OR-ed under.
+    assert (ber.MAX_SNR_POINTS - 1) << 40 < ber._NOISE_TAG
+
+
 @pytest.mark.parametrize(
     "grid, seed, message",
     [

@@ -143,6 +143,18 @@ def test_parse_snr_grid_point_cap():
         parse_snr_grid(f"0:{MAX_SNR_POINTS}:1")
 
 
+@pytest.mark.parametrize("points, code", [(MAX_SNR_POINTS, 0), (MAX_SNR_POINTS + 1, 2)])
+def test_listed_grid_is_capped_like_a_range(tmp_path, monkeypatch, capsys, points, code):
+    """A comma-listed grid from --config has the a:b:step form's cap: one
+    point more exits 2 before any output is opened or any point is run."""
+    monkeypatch.chdir(tmp_path)
+    Path("grid.cfg").write_text("snr_grid=" + ",".join(["40"] * points))
+    monkeypatch.setattr(cli, "run_monte_carlo", lambda cfg: [])
+    assert main(["ber-sweep", "--config", "grid.cfg", "--method", "pam", "--out", "b.csv"]) == code
+    assert ("more than 10000" in capsys.readouterr().err) == (code == 2)
+    assert Path("b.csv").exists() == (code == 0)
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nscales = 3\nseed=9\n")
@@ -225,6 +237,37 @@ def test_ber_sweep_unwritable_output(tmp_path, capsys):
     assert "cannot open output" in err and "nodir/out.csv" in err
     # The message names the output, not the temporary file behind it.
     assert ".tmp" not in err and "[Errno" not in err
+
+
+@pytest.mark.parametrize("spare", [5, 0])
+def test_output_name_at_the_filesystem_limit(tmp_path, monkeypatch, spare):
+    """An output name of NAME_MAX - 5 or NAME_MAX bytes is written as a
+    short one is: its temporary file's name is no longer than its own."""
+    monkeypatch.chdir(tmp_path)
+    name = "s" * (os.pathconf(tmp_path, "PC_NAME_MAX") - spare)
+    write_bits(Path("bits.txt"), [1, 0, 1, 1])
+    for out in ("short.txt", name):
+        assert main(["modulate", "bits.txt", "--out", out, "--method", "wm2"]) == 0
+    assert Path(name).read_bytes() == Path("short.txt").read_bytes()
+    # --plot's SVG name is as long as the CSV's.
+    csv_name = name[:-4] + ".csv"
+    for out in ("short.csv", csv_name):
+        assert main(sweep_args(tmp_path, out, ["--plot"])) == 0
+    for suffix in (".csv", ".svg"):
+        long_output = Path(csv_name).with_suffix(suffix)
+        assert long_output.read_bytes() == Path("short" + suffix).read_bytes()
+
+
+def test_output_name_over_the_filesystem_limit(tmp_path, monkeypatch, capsys):
+    """A name the filesystem refuses fails when its temporary file is
+    opened, before the sweep, with a message that names the output."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_monte_carlo", None)  # fails if called
+    name = "o" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+    assert main(sweep_args(tmp_path, name)) == 3
+    err = capsys.readouterr().err
+    assert "cannot open output" in err and ".tmp" not in err and "[Errno" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ber_sweep_output_is_directory(tmp_path, capsys, monkeypatch):
@@ -710,6 +753,42 @@ def test_failed_write_leaves_no_partial_output(tmp_path, command, limit):
     assert "I/O error" in done.stderr and "Traceback" not in done.stderr
     assert out.read_text() == "old\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["modulate", "demodulate", "ber-sweep"])
+def test_out_of_memory_is_one_line_and_exit_3(tmp_path, monkeypatch, capsys, command):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.chdir(tmp_path)
+    write_bits(Path("in.txt"), [1, 0])
+    if command == "ber-sweep":
+        monkeypatch.setattr(cli, "run_monte_carlo", exhausted)
+        argv = sweep_args(tmp_path, "out.csv", ["--plot"])
+    else:
+        monkeypatch.setattr(cli, "_read_lines", exhausted)
+        argv = [command, "in.txt", "--out", "out.csv"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
+
+
+def test_demodulate_out_of_memory_exits_3(tmp_path):
+    """A legal 2**24-line file that does not fit under a 300 MB address
+    space limit ends in exit 3 and one line, not a MemoryError traceback."""
+    (tmp_path / "zeros.txt").write_bytes(b"0\n" * 2**24)
+    code = (
+        "import os, resource, sys\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))\n"
+        "import wavemod.cli as c\n"
+        "sys.exit(c.main(['demodulate', 'zeros.txt', '--out', 'out.txt', "
+        "'--method', 'wm2', '--scales', '6']))\n"
+    )
+    done = fresh_process.run(code, tmp_path)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "error: out of memory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["zeros.txt"]
 
 
 def test_ber_sweep_failure_mid_run_leaves_no_output(tmp_path, monkeypatch, capsys):

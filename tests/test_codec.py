@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from naive_detector import gather_observations
+from naive_modem import check_modem
 
 from wavemod.codec import (
     METHOD1,
@@ -15,10 +16,6 @@ from wavemod.codec import (
 from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filterbank import level_slice
 from wavemod.modem import Modem
-
-
-def symbols_of(bits, e0=1.0):
-    return (2.0 * np.asarray(bits) - 1.0) * math.sqrt(e0)
 
 
 def test_polarity():
@@ -63,40 +60,18 @@ def test_bit_check_matches_membership_test(bits):
 
 
 def test_method1_two_scales():
-    bits = np.array([1, 0, 0, 1])
-    frame = place_method1(symbols(bits, 1.0), 2)
-    s = symbols_of(bits)
-    np.testing.assert_allclose(frame[level_slice(2, 1)], s)
-    np.testing.assert_allclose(frame[level_slice(2, 0)], s[[0, 2]])
-    assert np.all(frame[:2] == 0.0)
+    check_modem(Modem("wm1", 2, 4), [1, 0, 0, 1])
 
 
 def test_method1_single_scale_verbatim():
-    bits = np.array([1, 1, 0, 1, 0])
-    frame = place_method1(symbols(bits, 1.0), 1)
-    np.testing.assert_allclose(frame[level_slice(5, 0)], symbols_of(bits))
-
-
-def test_method1_three_scale_strides():
-    bits = np.arange(8) % 2
-    frame = place_method1(symbols(bits, 1.0), 3)
-    s = symbols_of(bits)
-    details = [frame[level_slice(2, m)] for m in range(3)]
-    assert [len(d) for d in details] == [2, 4, 8]
-    np.testing.assert_allclose(details[2], s)
-    np.testing.assert_allclose(details[1], s[::2])
-    np.testing.assert_allclose(details[0], s[::4])
+    check_modem(Modem("wm1", 1, 5), [1, 1, 0, 1, 0])
 
 
 @pytest.mark.parametrize("num_scales", [1, 3, 6])
 def test_method1_frame_matches_per_level_decimation(num_scales):
-    """The coarse zeros, then scale m = every 2**(M-1-m)-th symbol, built level by level."""
-    n0 = 3
-    bits = np.random.default_rng(num_scales).integers(0, 2, n0 * 2 ** (num_scales - 1))
-    a = symbols_of(bits)
-    details = [a[:: 2 ** (num_scales - 1 - m)].copy() for m in range(num_scales)]
-    expected = np.concatenate([np.zeros(n0), *details])
-    assert np.array_equal(place_method1(symbols(bits, 1.0), num_scales), expected)
+    """Scale m holds every 2**(M-1-m)-th symbol, as the reference lays it out."""
+    bits = np.random.default_rng(num_scales).integers(0, 2, 3 << (num_scales - 1))
+    check_modem(Modem("wm1", num_scales, len(bits)), bits)
 
 
 def test_method1_divisibility():
@@ -109,11 +84,7 @@ def test_method1_divisibility():
 
 
 def test_method2_two_scales():
-    bits = np.array([1, 0])
-    frame = place_method2(symbols(bits, 1.0), 2)
-    s = symbols_of(bits)
-    np.testing.assert_allclose(frame[level_slice(2, 0)], s)
-    np.testing.assert_allclose(frame[level_slice(2, 1)], np.tile(s, 2))
+    check_modem(Modem("wm2", 2, 2), [1, 0])
 
 
 def test_method2_degenerate_single_symbol():
@@ -129,11 +100,9 @@ def test_method2_degenerate_single_symbol():
 
 @pytest.mark.parametrize("length,num_scales", [(1, 1), (3, 2), (5, 4), (7, 6)])
 def test_method2_frame_matches_tiled_levels(length, num_scales):
-    """The coarse zeros, then scale m = np.tile(message, 2**m) for m = 0..M-1."""
+    """Scale m holds 2**m periods of the message, as the reference lays it out."""
     bits = np.random.default_rng(length).integers(0, 2, length)
-    a = symbols_of(bits, 2.5)
-    expected = np.concatenate([np.zeros(length)] + [np.tile(a, 2**m) for m in range(num_scales)])
-    assert np.array_equal(place_method2(symbols(bits, 2.5), num_scales), expected)
+    check_modem(Modem("wm2", num_scales, length, symbol_energy=2.5), bits)
 
 
 @pytest.mark.parametrize("length,num_scales", [(3, 2), (5, 4), (8, 3)])
@@ -144,40 +113,11 @@ def test_method2_copy_count(length, num_scales):
     assert all(len(o.copies) == 2**num_scales - 1 for o in obs)
 
 
-def test_method1_copy_counts():
-    bits = np.random.default_rng(0).integers(0, 2, 16)
-    frame = place_method1(symbols(bits, 1.0), 3)
-    obs = gather_observations(frame, METHOD1, 3, 16)
-    # copy count = 1 + min(v2(k), M-1)
-    assert len(obs[4].copies) == 3
-    for k in range(1, 16, 2):
-        assert len(obs[k].copies) == 1
-    assert len(obs[0].copies) == 3
-
-
-def test_method1_copy_count_census():
-    num_scales, n0 = 4, 8
-    n = n0 * 2 ** (num_scales - 1)
-    bits = np.random.default_rng(1).integers(0, 2, n)
-    frame = place_method1(symbols(bits, 1.0), num_scales)
-    obs = gather_observations(frame, METHOD1, num_scales, n)
-    counts = np.bincount([len(o.copies) for o in obs])
-    # N/2 symbols with 1 copy, N/4 with 2, ..., residue class gets M copies.
-    assert counts[1] == n // 2
-    assert counts[2] == n // 4
-    assert counts[3] == n // 8
-    assert counts[4] == n // 8
-
-
 def test_method2_frame_size_vs_method1_rate():
     # Same frame budget: Method 1 carries 2**(M-1)*n0 distinct symbols,
-    # Method 2 only n0.
-    num_scales, n0 = 4, 4
-    m1 = place_method1(symbols(np.zeros(n0 * 2 ** (num_scales - 1), dtype=int), 1.0), num_scales)
-    m2 = place_method2(symbols(np.zeros(n0, dtype=int), 1.0), num_scales)
-    total1 = len(m1) - n0
-    total2 = len(m2) - n0
-    assert total1 == total2 == (2**num_scales - 1) * n0
+    # Method 2 only n0; both frames hold (2**M - 1) * n0 copies.
+    check_modem(Modem("wm1", 4, 32), np.zeros(32, dtype=int))
+    check_modem(Modem("wm2", 4, 4), np.zeros(4, dtype=int))
 
 
 @pytest.mark.parametrize(
@@ -207,7 +147,7 @@ def test_placement_onto_a_frame_adds_the_copies(method, place):
     its bytes, -0.0 and nan included."""
     num_scales = 4
     rng = np.random.default_rng(6)
-    a = symbols_of(rng.integers(0, 2, 24), 2.0)
+    a = symbols(rng.integers(0, 2, 24), 2.0)
     fresh = place(a, num_scales)
     n0 = len(fresh) >> num_scales
     before = rng.standard_normal(len(fresh))
