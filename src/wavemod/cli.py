@@ -84,8 +84,10 @@ def parse_snr_grid(text: str) -> tuple:
 
 
 def _read_text(path: Path) -> str:
+    """The UTF-8 text of an input or config file, without the byte-order
+    mark some editors put at its start."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise OSError(f"input file {path} does not exist") from None
     except OSError as exc:
@@ -130,11 +132,12 @@ def _share_count(lines: int) -> int:
 def _text_share(how, piece):
     """One share of the file modem's text, for _helpers.run: a str piece's
     non-blank lines, each stripped and passed to the parser how, as a
-    float64 array; an array piece formatted with the line format how in
-    one %-operation."""
+    float64 array, filled as it is parsed, with no list of the values in
+    between; an array piece formatted with the line format how in one
+    %-operation."""
     if isinstance(piece, str):
         lines = filter(None, map(str.strip, piece.splitlines()))
-        return np.array(list(map(how, lines)), dtype=float)
+        return np.fromiter(map(how, lines), float)
     return (how * len(piece)) % tuple(piece.tolist())
 
 

@@ -11,7 +11,7 @@ def read_lines(path: Path, kind: str, parse):
     if not path.exists():
         raise OSError(f"input file {path} does not exist")
     values = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line:
             continue

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import pickle
@@ -38,24 +39,6 @@ def q_oracle(x):
         epsrel=1e-12,
     )
     return val
-
-
-def test_q_at_zero():
-    assert q_function(0.0) == 0.5
-
-
-def test_q_reflection():
-    for x in np.linspace(-6, 6, 25):
-        assert abs(q_function(-x) - (1.0 - q_function(x))) < 1e-14
-
-
-def test_q_against_quadrature():
-    for x in (-4.0, -1.0, 0.3, 1.0, 2.5, 6.0):
-        assert abs(float(q_function(x)) - q_oracle(x)) < 1e-13
-
-
-def test_q_of_one_frozen():
-    assert abs(float(q_function(1.0)) - 0.15865525393145705) < 1e-14
 
 
 def test_q_of_a_large_negative_argument_is_one():
@@ -684,6 +667,42 @@ def test_results_come_in_share_order_for_unhashable_items(fresh_helpers):
     got = _helpers.run(scale, 2.0, [items[:1], items[1:3], items[3:]])
     assert len(_helpers.pool) == 2
     assert [a.tolist() for a in got] == [(2.0 * a).tolist() for a in items]
+
+
+def test_a_share_whose_helper_cannot_be_forked_runs_here(monkeypatch, fresh_helpers):
+    """A failed fork closes the helper's pipes and leaves it out of the
+    pool; the next call forks the missing helper. Without os.fork, every
+    share runs here."""
+    owner, real_fork = os.getpid(), os.fork
+
+    def where(arg, item):
+        return item, os.getpid() == owner
+
+    def fork_failing_from(failing):
+        """os.fork, but its calls from the failing-th on raise EAGAIN."""
+        calls = []
+
+        def fork():
+            calls.append(None)
+            if len(calls) >= failing:
+                raise OSError(errno.EAGAIN, "fork refused")
+            return real_fork()
+        return fork
+
+    shares = [[0], [1, 2], [3]]
+    fds = sorted(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fork_failing_from(1))
+    assert _helpers.run(where, None, shares) == [(k, True) for k in range(4)]
+    assert _helpers.pool == []
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    monkeypatch.setattr(os, "fork", fork_failing_from(2))
+    assert _helpers.run(where, None, shares) == [(0, True), (1, False), (2, False), (3, True)]
+    assert len(_helpers.pool) == 1
+    monkeypatch.setattr(os, "fork", real_fork)
+    assert _helpers.run(where, None, shares) == [(0, True), (1, False), (2, False), (3, False)]
+    assert len(_helpers.pool) == 2
+    monkeypatch.delattr(os, "fork")
+    assert _helpers.run(where, None, shares) == [(k, True) for k in range(4)]
 
 
 def test_helpers_end_when_their_owner_dies_without_stopping_them(tmp_path):

@@ -2,20 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from naive_detector import Decision, ObservationSet, ml_decide
-from naive_modem import check_modem
+from naive_detector import ObservationSet, ml_decide
 
-from wavemod.codec import (
-    METHOD1,
-    METHOD2,
-    place_method1,
-    place_method2,
-    symbols,
-)
+from wavemod.codec import METHOD2, place_method2, symbols
 from wavemod.detector import detect_block
 from wavemod.errors import ConfigurationError, ShapeError
 from wavemod.filterbank import level_slice
-from wavemod.modem import Modem
 
 
 def test_statistic_example():
@@ -71,23 +63,6 @@ def test_monotonicity_appending_true_sign_copy():
             assert ml_decide(ObservationSet(extended, 0), 1.0, 1.0).bit == 1
 
 
-@pytest.mark.parametrize(
-    "method,place,msg_len", [(METHOD1, place_method1, 32), (METHOD2, place_method2, 11)]
-)
-@pytest.mark.parametrize("num_scales", [1, 3, 6])
-def test_noiseless_round_trip(method, place, msg_len, num_scales):
-    if method == METHOD1:
-        msg_len = 2 ** (num_scales - 1) * 2
-    # tests/test_modem.py's reference chain checks the pyramids in between.
-    bits = np.random.default_rng(num_scales).integers(0, 2, msg_len)
-    frame = place(symbols(bits, 1.0), num_scales)
-    assert np.array_equal(detect_block(frame, method, num_scales), bits)
-
-
-def test_single_scale_reduces_to_sign_detector():
-    check_modem(Modem("wm1", 1, 16), np.random.default_rng(2).integers(0, 2, 16), seed=2)
-
-
 def test_one_corrupted_copy_out_of_seven_survives():
     # Method 2, M=3 -> K=7 copies; a single flipped copy of magnitude
     # below (K-1)*sqrt(E0) cannot outvote six clean ones.
@@ -110,7 +85,3 @@ def test_detect_block_rejects_wrong_frame_length(length):
     with pytest.raises(ShapeError, match="not divisible by 2\\^3"):
         detect_block(np.zeros(length), METHOD2, 3)
 
-
-def test_decision_fields():
-    d = Decision(bit=1, statistic=0.5)
-    assert d.bit == 1 and d.statistic == 0.5
