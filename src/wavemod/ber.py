@@ -14,7 +14,7 @@ from wavemod import _helpers
 from wavemod.channel import add_awgn
 from wavemod.codec import METHOD1
 from wavemod.errors import ConfigurationError
-from wavemod.modem import Modem, require_integer
+from wavemod.modem import Modem, require_integer, require_real
 from wavemod.theory import ber_method1_ideal, ber_theory
 
 
@@ -40,7 +40,7 @@ MAX_SNR_POINTS = 10_000
 class ExperimentConfig:
     """One modem over an SNR grid (dB, per copy), with the stop rule and
     the seed. The modem checks method, scales, length, taps and energy;
-    the grid must hold 1 to MAX_SNR_POINTS finite points."""
+    the grid must be a sequence of 1 to MAX_SNR_POINTS finite real numbers."""
 
     modem: Modem
     snr_grid_db: tuple
@@ -49,12 +49,20 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.snr_grid_db) == 0:
-            raise ConfigurationError("snr_grid_db must be nonempty")
-        if len(self.snr_grid_db) > MAX_SNR_POINTS:
+        if not isinstance(self.modem, Modem):
+            raise ConfigurationError(f"modem must be a Modem, got {self.modem!r}")
+        try:
+            size = len(self.snr_grid_db)
+        except TypeError:
             raise ConfigurationError(
-                f"SNR grid has {len(self.snr_grid_db)} points, more than {MAX_SNR_POINTS}"
-            )
+                f"snr_grid_db must be a sequence of numbers, got {self.snr_grid_db!r}"
+            ) from None
+        if size == 0:
+            raise ConfigurationError("snr_grid_db must be nonempty")
+        if size > MAX_SNR_POINTS:
+            raise ConfigurationError(f"SNR grid has {size} points, more than {MAX_SNR_POINTS}")
+        for snr_db in self.snr_grid_db:
+            require_real("SNR grid point", snr_db)
         if not all(map(isfinite, self.snr_grid_db)):
             raise ConfigurationError("SNR grid points must be finite")
         energy = self.modem.symbol_energy

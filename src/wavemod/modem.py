@@ -12,7 +12,7 @@ computed without synthesis.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -37,6 +37,12 @@ def require_integer(name: str, value) -> None:
     """ConfigurationError unless value is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """ConfigurationError unless value is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
 
 
 def _geometry(method: str, num_scales: int) -> tuple[int, int]:
@@ -81,6 +87,7 @@ class Modem:
         depth, rate = _geometry(self.method, self.num_scales)
         require_integer("message_len", self.message_len)
         require_integer("taps", self.taps)
+        require_real("symbol_energy", self.symbol_energy)
         if self.message_len < 1:
             raise ConfigurationError("message_len must be >= 1")
         if not (math.isfinite(self.symbol_energy) and self.symbol_energy > 0):

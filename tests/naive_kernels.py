@@ -3,9 +3,10 @@
 Each tap gathers its inputs with an explicit modular index array, straight
 from the circular-convolution formulas. The accumulation order (a zeroed
 accumulator, then one term per tap in ascending order) fixes the bits,
-sign of zero included, that the library kernels must give. analyze_pyramid
-loops analysis_step down the levels and lays the frame out by
-concatenation, without filterbank.level_slice.
+sign of zero included, that the library kernels must give. The pyramids
+loop the steps over the levels: analyze_pyramid lays the frame out by
+concatenation and synthesize_pyramid reads each level by its index range,
+neither through filterbank.level_slice.
 """
 
 import numpy as np
@@ -47,3 +48,13 @@ def synthesis_step(c, x, h, g):
             acc = acc + (h[i] * c[n] + g[i] * x[n])
         out[m] = acc
     return out
+
+
+def synthesize_pyramid(frame, num_scales, h, g):
+    """Coarse branch up through detail levels 0 .. M-1; level m is
+    frame[n0 * 2**m : n0 * 2**(m+1)]."""
+    n0 = len(frame) >> num_scales
+    c = frame[:n0]
+    for m in range(num_scales):
+        c = synthesis_step(c, frame[n0 << m : n0 << (m + 1)], h, g)
+    return c

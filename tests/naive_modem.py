@@ -2,7 +2,7 @@
 oracle for modem.Modem.
 
 place lays the symbols out by naive_detector.coefficient_symbol_map,
-modulate runs naive_kernels.synthesis_step up the levels, and the receiver
+modulate runs naive_kernels.synthesize_pyramid, and the receiver
 runs naive_kernels.analyze_pyramid and gathers each symbol's copies with
 naive_detector.gather_observations. PAM is the depth-0 chain: the frame is
 the message, and each symbol's one copy is its sample. check_modem holds
@@ -36,13 +36,9 @@ def place(bits, modem: Modem) -> np.ndarray:
 
 
 def modulate(bits, modem: Modem) -> np.ndarray:
-    frame = place(bits, modem)
-    n0 = len(frame) >> depth(modem)
-    c = frame[:n0]
-    h, g = make_daubechies(modem.taps)
-    for m in range(depth(modem)):
-        c = naive_kernels.synthesis_step(c, frame[n0 << m : n0 << (m + 1)], h, g)
-    return c
+    return naive_kernels.synthesize_pyramid(
+        place(bits, modem), depth(modem), *make_daubechies(modem.taps)
+    )
 
 
 def decide(frame, modem: Modem) -> tuple:

@@ -284,6 +284,8 @@ def test_config_caps_the_grid_below_the_noise_key_limit():
         ((0.0, 4000.0), 0, "SNR point 4000.0 dB"),
         ((0.0, -4000.0), 0, "SNR point -4000.0 dB"),
         ((-3100.0,), 0, "SNR point -3100.0 dB"),
+        (None, 0, "snr_grid_db must be a sequence"),
+        (("0", "1"), 0, "SNR grid point must be a real number"),
     ],
 )
 def test_config_rejects_bad_grid_and_seed(grid, seed, message):
@@ -291,9 +293,17 @@ def test_config_rejects_bad_grid_and_seed(grid, seed, message):
     # nan theory and -inf a ZeroDivisionError. A finite point whose linear
     # SNR overflowed (4000 dB) or underflowed to 0 (-4000 dB) raised
     # OverflowError or ZeroDivisionError, and one whose noise level was
-    # infinite (-3100 dB) failed only inside the sweep.
+    # infinite (-3100 dB) failed only inside the sweep. A grid that is
+    # not a sequence of numbers raised TypeError.
     with pytest.raises(ConfigurationError, match=message):
         ExperimentConfig(Modem("wm2", 2, 8), grid, seed=seed)
+
+
+@pytest.mark.parametrize("modem", ["wm2", None])
+def test_config_rejects_a_modem_that_is_not_one(modem):
+    # A method name in place of the Modem used to raise AttributeError.
+    with pytest.raises(ConfigurationError, match="modem must be a Modem"):
+        ExperimentConfig(modem, (0.0,))
 
 
 @pytest.mark.parametrize("snr_db, energy", [(-300.0, 1e300), (3000.0, 1e-300)])
@@ -323,11 +333,12 @@ def test_config_rejects_non_integer_counts(field, value):
 
 
 def test_config_accepts_numpy_integer_counts():
+    """And a numpy energy and integer SNR points, numpy's too."""
     cfg = ExperimentConfig(
-        Modem("wm2", 2, 8), (0.0,), min_errors=np.int64(1), max_trials=np.int32(2),
-        seed=np.uint8(3),
+        Modem("wm2", 2, 8, symbol_energy=np.float64(2.0)), (0, np.int64(3)),
+        min_errors=np.int64(1), max_trials=np.int32(2), seed=np.uint8(3),
     )
-    assert len(run_monte_carlo(cfg)) == 1
+    assert len(run_monte_carlo(cfg)) == 2
 
 
 def test_block_chain_does_not_fault_after_heap_history():

@@ -102,6 +102,10 @@ def test_frame_cap_boundary():
         (("wm2", 6, 512), {"taps": 4.0}, "taps must be an integer"),
         # PAM runs the depth-0 chain with a real filter pair.
         (("pam", 4, 64), {"taps": 5}, "tap count"),
+        # A non-real energy used to raise TypeError, and True was taken as 1.
+        (("wm2", 4, 64), {"symbol_energy": None}, "symbol_energy must be a real number"),
+        (("wm2", 4, 64), {"symbol_energy": "1"}, "symbol_energy must be a real number"),
+        (("wm1", 4, 64), {"symbol_energy": True}, "symbol_energy must be a real number"),
     ],
 )
 def test_contract_violations(args, kwargs, message):
