@@ -104,6 +104,58 @@ def test_filterbank_matches_the_reference(num_scales, n0, taps):
                 pyramid(mixed, num_scales, fp, work[:-1])
 
 
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 34, 1024, 32768])
+def test_kernels_match_naive_reference(taps, n):
+    """Both steps bit for bit against the reference at step lengths the grid
+    does not reach, sign of zero too, and synthesis with the branches mixed
+    as modulation mixes them: an all-zero coarse branch under a live detail.
+
+    N = 2 with 8 taps wraps the input several times; N = 6, 10 and 34 give
+    each analysis phase an odd length.
+    """
+    rng = np.random.default_rng(taps * 100_003 + n)
+    fp = make_daubechies(taps)
+    v = rng.standard_normal(n)
+    v[::7] = 0.0
+    v[::11] = -0.0
+    cx = analysis_step(v, fp)
+    same_bytes(cx, np.concatenate(naive_kernels.analysis_step(v, *fp)))
+    c, x = cx.reshape(2, -1)
+    zeros = np.zeros(n // 2)
+    # -0.0 inputs give -0.0 products, which only the zero-initialised
+    # accumulator turns into +0.0.
+    for low, high in ((c, x), (zeros, x), (-zeros, zeros), (-zeros, -zeros)):
+        same_bytes(
+            synthesis_step(np.concatenate([low, high]), fp),
+            naive_kernels.synthesis_step(low, high, *fp),
+        )
+
+
+@pytest.mark.parametrize("taps", [2, 4, 6, 8])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 64, 32768])
+def test_steps_take_and_give_one_level_frames(taps, n):
+    """Each step maps one flat array to another: run in place it gives the
+    bytes of a fresh call, which are those of a one-level pyramid, sign of
+    zero too. synthesize_pyramid, which runs every level in place in its
+    copy of the frame, leaves the caller's frame as it was."""
+    fp = make_daubechies(taps)
+    v = np.random.default_rng(taps * 7 + n).standard_normal(n)
+    v[::3] = 0.0
+    v[1::5] = -0.0
+    work = work_area(n, fp)
+    for step, pyramid in ((analysis_step, analyze_pyramid), (synthesis_step, synthesize_pyramid)):
+        fresh = step(v, fp)
+        same_bytes(fresh, pyramid(v, 1, fp))
+        inplace = v.copy()
+        assert np.shares_memory(step(inplace, fp, work, out=inplace), inplace)
+        same_bytes(inplace, fresh)
+    kept = v.copy()
+    depth = (n & -n).bit_length() - 1
+    synthesize_pyramid(v, depth, fp, work)
+    same_bytes(v, kept)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
